@@ -3,8 +3,8 @@
 from .decomposition import (AttachedSinks, Division, DivisionParams, Hole,
                             Piece, attach_super_sinks, cycle_separator, divide,
                             division_tree, root_piece, triangulate)
-from .embedding import (EmbeddedGraph, Subgraph, build_graph, faces,
-                        induced_subgraph, insert_vertex_in_face)
+from .embedding import (EmbeddedGraph, Subgraph, build_graph, induced_subgraph,
+                        insert_vertex_in_face)
 from .errors import (CannotSatisfyBounds, CyclicSupport, DanglingDart,
                      InvalidParams, NonEmbedding, NotConnected, ParseError,
                      PlanarFlowError, SearchFailed, SeparatorFailed,
@@ -14,8 +14,7 @@ from .flowstate import (Cut, FlowState, cancel_flow_cycles, check_cut_saturated,
 from .formats import (Instance, parse_flow, parse_instance, write_flow,
                       write_instance)
 from .generators import generate_instance, grid_graph, stacked_triangulation
-from .maxflow import (DEFAULT_ENGINE, ENGINES, bounded_push, max_st_flow,
-                      residual_reachable)
+from .maxflow import DEFAULT_ENGINE, ENGINES, max_st_flow, residual_reachable
 from .oracle import (build_fig1_counterexample, load_fig1_fixture, oracle_value,
                      validate_flow)
 from .solver import (SolveTrace, pairwise_arbitrary_saturation, piece_maxflow,

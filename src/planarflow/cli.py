@@ -26,7 +26,7 @@ from .solver import (SolveTrace, pairwise_arbitrary_saturation,
 
 
 def _parse_params(spec: str | None) -> DivisionParams:
-    """Parse ``p=2,c_p=0.5,r=64,t=6,boundary_coeff=10`` style knobs."""
+    """Parse ``c_p=0.5,r=64,t=6,boundary_coeff=10`` style knobs."""
     kwargs = {}
     if spec:
         for item in spec.split(","):
@@ -37,9 +37,7 @@ def _parse_params(spec: str | None) -> DivisionParams:
             key, _, val = item.partition("=")
             key = key.strip()
             val = val.strip()
-            if key == "p":
-                kwargs["p"] = int(val)
-            elif key == "c_p":
+            if key == "c_p":
                 kwargs["c_p"] = float(val)
             elif key == "r":
                 kwargs["r"] = int(val)
@@ -123,6 +121,8 @@ def cmd_solve(args) -> int:
             state = solve_recursive(inst, params, engine=args.engine, trace=trace)
         else:
             state = sequential_saturation(inst, engine=args.engine, trace=trace)
+    except InvalidParams:
+        raise  # a parameter error: main reports it with exit code 2
     except PlanarFlowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="PLEM file, or - for stdin")
     p.add_argument("--algorithm", choices=("recursive", "sequential"),
                    default="recursive")
-    p.add_argument("--params", help="division knobs, e.g. p=2,c_p=0.5,r=64,t=6")
+    p.add_argument("--params", help="division knobs, e.g. c_p=0.5,r=64,t=6")
     p.add_argument("--trace", help="directory for per-phase PFLO snapshots")
     p.add_argument("--divisions", metavar="PATH",
                    help="write a nested text dump of every division made")

@@ -394,15 +394,12 @@ class Piece:
 class DivisionParams:
     """Knobs for one division level and the recursion driven by it."""
 
-    p: int = 2               # target subpiece count (analysis constant)
     c_p: float = 0.5         # max piece size as a fraction of the parent
     boundary_coeff: float = 10.0
     sink_bound: int = 6      # t: max sinks per recursive instance
     r: int = 64              # base-case size: recursion stops at or below
 
     def __post_init__(self):
-        if self.p < 2:
-            raise InvalidParams("p must be at least 2")
         if not 0 < self.c_p < 1:
             raise InvalidParams("c_p must lie strictly between 0 and 1")
         if self.sink_bound < 2:

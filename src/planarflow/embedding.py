@@ -170,11 +170,6 @@ def build_graph(vertex_count: int, edges: list[tuple[int, int]],
     return EmbeddedGraph(vertex_count, edges, rotations)
 
 
-def faces(g: EmbeddedGraph) -> list[list[int]]:
-    """All face cycles of the embedding (each dart in exactly one cycle)."""
-    return [list(c) for c in g.faces]
-
-
 # -- subgraphs -----------------------------------------------------------
 
 

@@ -36,15 +36,6 @@ class FlowState:
     def from_instance(cls, instance) -> "FlowState":
         return cls(instance.graph, instance.capacities)
 
-    def copy(self) -> "FlowState":
-        c = FlowState.__new__(FlowState)
-        c.graph = self.graph
-        c.capacity = list(self.capacity)
-        c.flow = list(self.flow)
-        c.excess = list(self.excess)
-        c.cancelled_cycles = self.cancelled_cycles
-        return c
-
     def _recompute_excess(self) -> None:
         ex = [0] * self.graph.vertex_count
         tail = self.graph.tail

@@ -96,6 +96,12 @@ def parse_instance(text: str) -> Instance:
     m = ts.take_int("edge count")
     if n < 0 or m < 0:
         raise ParseError("negative counts in header")
+    # each rot line takes at least 2 tokens and each edge line 6; check
+    # before sizing any list from the header
+    left = len(ts.toks) - ts.pos
+    if 2 * n + 6 * m > left:
+        raise ParseError(f"header 'plem {n} {m}' needs at least {2 * n + 6 * m} "
+                         f"more tokens, input has {left}")
 
     rotations: list[list[int]] = [[] for _ in range(n)]
     seen_rot = [False] * n
@@ -188,6 +194,8 @@ def parse_flow(text: str) -> FlowDump:
         key = ts.take("flow or value keyword")
         if key == "flow":
             d = ts.take_int("dart id")
+            if d in dump.dart_flow:
+                raise ParseError(f"repeated flow line for dart {d}")
             dump.dart_flow[d] = ts.take_int("flow value")
         elif key == "value":
             dump.value = ts.take_int("total value")

@@ -1,10 +1,18 @@
 """Single-source, single-sink max-flow engines over FlowState residuals.
 
 Engines augment the state they are given, so the returned value is the
-incremental flow found on top of whatever the state already carries. The
-default engine is blocking-flow augmentation (level graph + DFS); a plain
-shortest-augmenting-path engine is kept as an interchangeable alternative.
-Any conforming engine must produce identical values (flows may differ).
+incremental flow found on top of whatever the state already carries. An
+optional `limit` caps that increment: each augmenting path's bottleneck
+is clamped to what is left of the limit, and the engine returns as soon
+as the limit is reached. This is how the solver pushes a vertex's excess
+on towards a sink. The default engine is blocking-flow augmentation
+(level graph + DFS); a plain shortest-augmenting-path engine is kept as
+an interchangeable alternative. Any conforming engine must produce
+identical values (flows may differ).
+
+`max_st_flow` returns the value only. A caller that wants the min cut
+takes the residual-reachability side after the flow is maximum:
+``cut_from_side(state.graph, residual_reachable(state, s))``.
 """
 
 from __future__ import annotations
@@ -12,13 +20,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from .embedding import corner_dart, insert_vertex_in_face
-from .flowstate import Cut, FlowState, cut_from_side
+from .flowstate import FlowState
 
-Engine = Callable[[FlowState, int, int], int]
+Engine = Callable[[FlowState, int, int, int | None], int]
 
 
-def blocking_flow(state: FlowState, s: int, t: int) -> int:
+def blocking_flow(state: FlowState, s: int, t: int,
+                  limit: int | None = None) -> int:
     """Dinic-style engine: repeat BFS level graphs + DFS blocking flows."""
     g = state.graph
     rot = g.rotations
@@ -27,7 +35,7 @@ def blocking_flow(state: FlowState, s: int, t: int) -> int:
     flow = state.flow
     n = g.vertex_count
     total = 0
-    while True:
+    while total != limit:
         level = [-1] * n
         level[s] = 0
         queue = deque([s])
@@ -48,9 +56,13 @@ def blocking_flow(state: FlowState, s: int, t: int) -> int:
         while True:
             if v == t:
                 bottleneck = min(cap[d] - flow[d] + flow[d ^ 1] for d in path)
+                if limit is not None:
+                    bottleneck = min(bottleneck, limit - total)
                 for d in path:
                     state.push(d, bottleneck)
                 total += bottleneck
+                if total == limit:
+                    return total
                 for idx, d in enumerate(path):
                     if cap[d] - flow[d] + flow[d ^ 1] == 0:
                         del path[idx:]
@@ -75,15 +87,17 @@ def blocking_flow(state: FlowState, s: int, t: int) -> int:
                 d = path.pop()
                 v = tails[d]
                 ptr[v] += 1
+    return total
 
 
-def shortest_augmenting(state: FlowState, s: int, t: int) -> int:
+def shortest_augmenting(state: FlowState, s: int, t: int,
+                        limit: int | None = None) -> int:
     """BFS augmenting-path engine (one shortest path per round)."""
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
     total = 0
-    while True:
+    while total != limit:
         parent_dart: dict[int, int] = {s: -1}
         queue = deque([s])
         found = False
@@ -107,9 +121,12 @@ def shortest_augmenting(state: FlowState, s: int, t: int) -> int:
             darts.append(d)
             v = tails[d]
         bottleneck = min(state.residual(d) for d in darts)
+        if limit is not None:
+            bottleneck = min(bottleneck, limit - total)
         for d in darts:
             state.push(d, bottleneck)
         total += bottleneck
+    return total
 
 
 ENGINES: dict[str, Engine] = {
@@ -147,40 +164,15 @@ def residual_reachable(state: FlowState, source: int) -> set[int]:
 
 
 def max_st_flow(state: FlowState, s: int, t: int,
-                engine: str | Engine | None = None) -> tuple[int, Cut]:
-    """Augment `state` to a maximum s-t flow; returns (added value, min cut).
+                engine: str | Engine | None = None,
+                limit: int | None = None) -> int:
+    """Augment `state` by a maximum s-t flow; returns the value added.
 
-    The cut is the residual-reachability partition from s after the engine
-    finishes, which is saturated and separates s from t.
+    With `limit`, at most that many units are added, so the return value
+    is ``min(limit, residual max-flow value s -> t)``.
     """
     if s == t:
         raise ValueError("source and sink must differ")
-    value = _resolve(engine)(state, s, t)
-    return value, cut_from_side(state.graph, residual_reachable(state, s))
-
-
-def bounded_push(state: FlowState, p: int, t: int, budget: int,
-                 engine: str | Engine | None = None) -> int:
-    """Push at most `budget` units from p to t through the residual graph.
-
-    Implemented as the super-source reduction: a temporary vertex is
-    embedded in a face incident to p, linked to p by an arc of capacity
-    `budget`, and a max flow is run from it to t; the temporary material
-    is dropped afterwards. Returns the amount actually pushed, which is
-    ``min(budget, residual max-flow value p -> t)``.
-    """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if budget == 0 or p == t or not state.graph.rotations[p]:
-        return 0
-    g = state.graph
-    fid = min(g.dart_face[d] for d in g.rotations[p])
-    ins = insert_vertex_in_face(g, [corner_dart(g, fid, p)])
-    e = ins.new_edges[0]  # edge (p, apex): dart 2e is p->apex, 2e+1 apex->p
-    caps = state.capacity + [0, budget]
-    aug = FlowState(ins.graph, caps, state.flow + [0, 0])
-    pushed, _ = max_st_flow(aug, ins.new_vertex, t, engine)
-    state.flow[:] = aug.flow[: g.dart_count]
-    state.excess[:] = aug.excess[: g.vertex_count]
-    state.excess[p] -= pushed
-    return pushed
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
+    return _resolve(engine)(state, s, t, limit)

@@ -24,7 +24,7 @@ from .errors import (CannotSatisfyBounds, InvalidParams, SeparatorFailed,
                      TooManySinks)
 from .flowstate import FlowState, cancel_flow_cycles, drain_excess, flow_value
 from .formats import Instance
-from .maxflow import bounded_push, max_st_flow
+from .maxflow import max_st_flow
 
 
 class SolveTrace:
@@ -52,7 +52,7 @@ class SolveTrace:
 def _saturate_sources(state: FlowState, sources, sinks, engine, trace) -> None:
     for s in sources:
         for t in sinks:
-            value, _ = max_st_flow(state, s, t, engine)
+            value = max_st_flow(state, s, t, engine)
             if trace is not None:
                 trace.pair_saturated(state, s, t, value)
 
@@ -121,7 +121,7 @@ def piece_maxflow(piece: Piece, state: FlowState, sources, sinks,
             for t in ordered_sinks:
                 if state.excess[p] <= 0:
                     break
-                bounded_push(state, p, t, state.excess[p], engine)
+                max_st_flow(state, p, t, engine, limit=state.excess[p])
     if trace is not None:
         trace.phase2_done(
             Instance(state.graph, state.capacity, sorted(source_set),

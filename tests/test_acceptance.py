@@ -15,12 +15,12 @@ from contextlib import redirect_stdout
 import planarflow.cli as cli
 import planarflow.decomposition as dec
 from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
-                        attach_super_sinks, check_cut_saturated, divide,
-                        flow_value, generate_instance, is_max_preflow,
+                        attach_super_sinks, check_cut_saturated, cut_from_side,
+                        divide, flow_value, generate_instance, is_max_preflow,
                         load_fig1_fixture, max_st_flow,
-                        pairwise_arbitrary_saturation, root_piece,
-                        sequential_saturation, solve_recursive, oracle_value,
-                        validate_flow)
+                        pairwise_arbitrary_saturation, residual_reachable,
+                        root_piece, sequential_saturation, solve_recursive,
+                        oracle_value, validate_flow)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -118,7 +118,8 @@ def test_criterion_5_saturated_cuts_stay_saturated():
         inst = _acceptance_corpus(1, seed0=60_000 + seed, max_n=80)[0]
         state = FlowState.from_instance(inst)
         s, t = inst.sources[0], inst.sinks[0]
-        _, cut = max_st_flow(state, s, t)
+        max_st_flow(state, s, t)
+        cut = cut_from_side(state.graph, residual_reachable(state, s))
         b_side = sorted(cut.b)
         if len(b_side) < 2 or not check_cut_saturated(state, cut):
             continue

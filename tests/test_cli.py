@@ -78,6 +78,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_removed_params_key_rejected(tmp_path, capsys):
+    path = tmp_path / "edge.plem"
+    path.write_text(SINGLE_EDGE)
+    code, _, err = run(["solve", str(path), "--params", "p=2"], capsys)
+    assert code == 2
+    assert "unknown params key" in err
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = tmp_path / "a.plem"
     b = tmp_path / "b.plem"

@@ -178,8 +178,6 @@ def test_divide_single_face_cycle_piece():
 
 def test_params_validation():
     with pytest.raises(InvalidParams):
-        DivisionParams(p=1)
-    with pytest.raises(InvalidParams):
         DivisionParams(c_p=1.5)
     with pytest.raises(InvalidParams):
         DivisionParams(r=0)

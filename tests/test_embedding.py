@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarflow import (DanglingDart, NonEmbedding, build_graph, faces,
-                        grid_graph, induced_subgraph, insert_vertex_in_face,
+from planarflow import (DanglingDart, NonEmbedding, build_graph, grid_graph,
+                        induced_subgraph, insert_vertex_in_face,
                         stacked_triangulation)
 
 TRIANGLE = dict(vertex_count=3, edges=[(0, 1), (1, 2), (2, 0)],
@@ -86,13 +86,6 @@ def test_toroidal_rotation_fails_euler():
     twisted[0].reverse()
     with pytest.raises(NonEmbedding):
         build_graph(4, edges, twisted)
-
-
-def test_faces_accessor_copies():
-    g = build_graph(**TRIANGLE)
-    fs = faces(g)
-    fs[0].append(99)
-    assert all(99 not in f for f in g.faces)
 
 
 def test_insert_vertex_in_face_full_star():

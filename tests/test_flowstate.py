@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from planarflow import (Cut, CyclicSupport, FlowState, cancel_flow_cycles,
                         check_cut_saturated, cut_from_side, drain_excess,
                         flow_value, generate_instance, grid_graph,
-                        is_max_preflow, max_st_flow, parse_instance)
+                        is_max_preflow, max_st_flow, parse_instance,
+                        residual_reachable)
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 5 0\nsrc 0\nsnk 1\n"
 
@@ -109,7 +110,9 @@ def test_check_cut_saturated():
 def test_min_cut_of_solved_instance_is_saturated(small_corpus):
     for inst in small_corpus[:10]:
         state = FlowState.from_instance(inst)
-        _, cut = max_st_flow(state, inst.sources[0], inst.sinks[0])
+        s = inst.sources[0]
+        max_st_flow(state, s, inst.sinks[0])
+        cut = cut_from_side(inst.graph, residual_reachable(state, s))
         assert inst.sinks[0] in cut.b
         assert check_cut_saturated(state, cut)
 

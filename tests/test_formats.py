@@ -80,6 +80,19 @@ def test_flow_dump_requires_value_line():
         parse_flow("flow 1 3\n")
 
 
+def test_flow_dump_rejects_repeated_dart():
+    with pytest.raises(ParseError, match="dart 1"):
+        parse_flow("flow 1 3\nflow 1 4\nvalue 7\n")
+
+
+def test_header_counts_checked_against_input_length():
+    # 5000000 rot lines need 10^7 tokens; the input has none
+    with pytest.raises(ParseError, match="plem 5000000 0"):
+        parse_instance("plem 5000000 0\n")
+    with pytest.raises(ParseError, match="plem 0 3"):
+        parse_instance("plem 0 3\nedge 0 0 1 1 1\nsrc 0\nsnk 1\n")
+
+
 def test_instance_validation():
     g = grid_graph(2, 2)
     with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 import pytest
 
-from planarflow import (ENGINES, FlowState, bounded_push, check_cut_saturated,
+from planarflow import (ENGINES, FlowState, check_cut_saturated, cut_from_side,
                         flow_value, is_max_preflow, max_st_flow, oracle_value,
-                        parse_instance)
+                        parse_instance, residual_reachable)
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 4 0\nsrc 0\nsnk 1\n"
 
@@ -10,7 +10,8 @@ SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 4 0\nsrc 0\nsnk 1\n"
 def test_single_edge_value_and_cut():
     inst = parse_instance(SINGLE_EDGE)
     state = FlowState.from_instance(inst)
-    value, cut = max_st_flow(state, 0, 1)
+    value = max_st_flow(state, 0, 1)
+    cut = cut_from_side(inst.graph, residual_reachable(state, 0))
     assert value == 4
     assert cut.a == {0} and cut.b == {1}
     assert check_cut_saturated(state, cut)
@@ -20,7 +21,7 @@ def test_idempotent_on_max_state():
     inst = parse_instance(SINGLE_EDGE)
     state = FlowState.from_instance(inst)
     max_st_flow(state, 0, 1)
-    value, _ = max_st_flow(state, 0, 1)
+    value = max_st_flow(state, 0, 1)
     assert value == 0
 
 
@@ -30,6 +31,12 @@ def test_source_equals_sink_rejected():
         max_st_flow(state, 0, 0)
 
 
+def test_negative_limit_rejected():
+    state = FlowState.from_instance(parse_instance(SINGLE_EDGE))
+    with pytest.raises(ValueError):
+        max_st_flow(state, 0, 1, limit=-1)
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_engines_match_oracle(engine, small_corpus):
     from planarflow import Instance
@@ -37,7 +44,8 @@ def test_engines_match_oracle(engine, small_corpus):
     for inst in small_corpus[:12]:
         s, t = inst.sources[0], inst.sinks[0]
         state = FlowState.from_instance(inst)
-        value, cut = max_st_flow(state, s, t, engine)
+        value = max_st_flow(state, s, t, engine)
+        cut = cut_from_side(inst.graph, residual_reachable(state, s))
         want = oracle_value(Instance(inst.graph, inst.capacities, [s], [t]))
         assert value == want
         ok, _ = is_max_preflow(state, [s], [t])
@@ -52,8 +60,7 @@ def test_engine_values_agree(small_corpus):
         values = set()
         for engine in ENGINES:
             state = FlowState.from_instance(inst)
-            value, _ = max_st_flow(state, s, t, engine)
-            values.add(value)
+            values.add(max_st_flow(state, s, t, engine))
         assert len(values) == 1
 
 
@@ -67,20 +74,20 @@ def test_bounded_push_zero_budget():
     inst = parse_instance(SINGLE_EDGE)
     state = FlowState.from_instance(inst)
     before = list(state.flow)
-    assert bounded_push(state, 0, 1, 0) == 0
+    assert max_st_flow(state, 0, 1, limit=0) == 0
     assert state.flow == before
 
 
 def test_bounded_push_budget_is_bottleneck():
     # path 0 -> 1 -> 2 of capacity 5, excess 2 parked at vertex 1 by a real
-    # push; budget 1 moves exactly one unit onward
+    # push; a limit of 1 moves exactly one unit onward
     text = "plem 3 2\nrot 0 0\nrot 1 1 2\nrot 2 3\n" \
            "edge 0 0 1 5 0\nedge 1 1 2 5 0\nsrc 0\nsnk 2\n"
     inst = parse_instance(text)
     state = FlowState.from_instance(inst)
     state.push(0, 2)
     assert state.excess[1] == 2
-    assert bounded_push(state, 1, 2, 1) == 1
+    assert max_st_flow(state, 1, 2, limit=1) == 1
     assert flow_value(state, [2]) == 1
     assert state.excess[1] == 1
 
@@ -89,21 +96,29 @@ def test_bounded_push_large_budget_matches_unbounded(small_corpus):
     for inst in small_corpus[:10]:
         p, t = inst.sources[0], inst.sinks[0]
         reference = FlowState.from_instance(inst)
-        want, _ = max_st_flow(reference, p, t)
+        want = max_st_flow(reference, p, t)
         state = FlowState.from_instance(inst)
         before = state.excess[p]
-        got = bounded_push(state, p, t, 10 ** 9)
+        got = max_st_flow(state, p, t, limit=10 ** 9)
         assert got == want
         assert state.excess[p] == before - got
         assert flow_value(state, [t]) == got
 
 
-def test_bounded_push_never_exceeds_budget(small_corpus):
-    for i, inst in enumerate(small_corpus[:10]):
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_bounded_push_is_exact(engine, small_corpus):
+    """A limited push moves exactly min(limit, unbounded value) units out of p."""
+    widest = 0
+    for inst in small_corpus[:10]:
         p, t = inst.sources[0], inst.sinks[0]
-        budget = 1 + i % 5
-        state = FlowState.from_instance(inst)
-        before = state.excess[p]
-        got = bounded_push(state, p, t, budget)
-        assert 0 <= got <= budget
-        assert state.excess[p] == before - got
+        want = max_st_flow(FlowState.from_instance(inst), p, t, engine)
+        widest = max(widest, want)
+        for budget in sorted({0, 1, want - 1, want, want + 1} - {-1}):
+            state = FlowState.from_instance(inst)
+            before = state.excess[p]
+            got = max_st_flow(state, p, t, engine, limit=budget)
+            assert got == min(budget, want)
+            assert state.excess[p] == before - got
+            recomputed = FlowState(inst.graph, inst.capacities, state.flow)
+            assert state.excess == recomputed.excess
+    assert widest > 2  # the budgets 1, want - 1 and want are distinct somewhere
