@@ -1,8 +1,8 @@
 """Command-line front end: solve, verify, gen, bench, fig1.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 solver
-error. All randomness flows through one ``--seed`` flag (environment
-variable ``PLANARFLOW_SEED`` is the fallback).
+Exit codes: 0 success, 1 verification failure, 2 parse or parameter
+error, 3 solver error. All randomness flows through one ``--seed`` flag
+(environment variable ``PLANARFLOW_SEED`` is the fallback).
 """
 
 from __future__ import annotations
@@ -25,6 +25,15 @@ from .solver import (SolveTrace, pairwise_arbitrary_saturation,
                      sequential_saturation, solve_recursive)
 
 
+def _number(kind, text: str, name: str):
+    """`kind(text)`, or InvalidParams naming the key or flag it came from."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InvalidParams(f"{name} needs {what}, got {text!r}") from None
+
+
 def _parse_params(spec: str | None) -> DivisionParams:
     """Parse ``c_p=0.5,r=64,t=6,boundary_coeff=10`` style knobs."""
     kwargs = {}
@@ -38,13 +47,13 @@ def _parse_params(spec: str | None) -> DivisionParams:
             key = key.strip()
             val = val.strip()
             if key == "c_p":
-                kwargs["c_p"] = float(val)
+                kwargs["c_p"] = _number(float, val, key)
             elif key == "r":
-                kwargs["r"] = int(val)
+                kwargs["r"] = _number(int, val, key)
             elif key == "t":
-                kwargs["sink_bound"] = int(val)
+                kwargs["sink_bound"] = _number(int, val, key)
             elif key == "boundary_coeff":
-                kwargs["boundary_coeff"] = float(val)
+                kwargs["boundary_coeff"] = _number(float, val, key)
             else:
                 raise InvalidParams(f"unknown params key {key!r}")
     return DivisionParams(**kwargs)
@@ -54,7 +63,7 @@ def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("PLANARFLOW_SEED")
-    return int(env) if env else 0
+    return _number(int, env, "PLANARFLOW_SEED") if env else 0
 
 
 def _read(path: str) -> str:
@@ -139,6 +148,7 @@ def cmd_verify(args) -> int:
     except PlanarFlowError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    params = _parse_params(args.params)
 
     failures = 0
 
@@ -175,35 +185,32 @@ def cmd_verify(args) -> int:
         report(seq_value == oracle, "sequential-matches-oracle",
                f"value={seq_value} oracle={oracle}")
         try:
-            rec = solve_recursive(inst, _parse_params(args.params),
-                                  engine=args.engine)
+            rec = solve_recursive(inst, params, engine=args.engine)
             rec_value = flow_value(rec, inst.sinks)
             report(not validate_flow(inst, rec), "recursive-valid", "")
             report(rec_value == oracle, "recursive-matches-oracle",
                    f"value={rec_value} oracle={oracle}")
+        except InvalidParams:
+            raise  # a parameter error: main reports it with exit code 2
         except PlanarFlowError as exc:
             report(False, "recursive-solver", str(exc))
     return 1 if failures else 0
 
 
 def cmd_gen(args) -> int:
-    try:
-        inst = generate_instance(args.kind, args.n, _default_seed(args.seed),
-                                 args.cap_max, args.sources)
-    except InvalidParams as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
+    inst = generate_instance(args.kind, args.n, _default_seed(args.seed),
+                             args.cap_max, args.sources)
     _write_out(write_instance(inst), args.output)
     return 0
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = [_number(int, s, "--sizes") for s in args.sizes.split(",") if s]
     if sizes != sorted(sizes):
         print("sizes must be ascending", file=sys.stderr)
         return 2
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [
-        _default_seed(None)]
+    seeds = ([_number(int, s, "--seeds") for s in args.seeds.split(",")]
+             if args.seeds else [_default_seed(None)])
     params = _parse_params(args.params)
     print(f"{'n':>10} {'seed':>6} {'time_s':>10} {'value':>10}")
     points = []

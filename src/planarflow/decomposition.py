@@ -19,13 +19,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .embedding import (EmbeddedGraph, build_graph, corner_dart,
-                        induced_subgraph, insert_vertex_in_face)
+                        induced_subgraph, insert_vertices_in_faces)
 from .errors import CannotSatisfyBounds, InvalidParams, NotConnected, SeparatorFailed
 from .formats import Instance
-
-# Optional audit sink: when set to a list, every separator call appends
-# (graph, weights, cycle) for external verification in test builds.
-separator_audit: list | None = None
 
 
 # -- scratch triangulation --------------------------------------------------
@@ -112,48 +108,30 @@ def _fan_round(g: EmbeddedGraph) -> tuple[EmbeddedGraph, int]:
 # -- separator ----------------------------------------------------------------
 
 
-def _center_root(g: EmbeddedGraph) -> int:
-    def bfs_far(src):
-        dist = [-1] * g.vertex_count
-        par = [-1] * g.vertex_count
-        dist[src] = 0
-        queue = deque([src])
-        last = src
-        while queue:
-            v = queue.popleft()
-            last = v
-            for d in g.rotations[v]:
-                w = g.head(d)
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    par[w] = v
-                    queue.append(w)
-        return last, dist, par
-
-    a, _, _ = bfs_far(0)
-    b, dist, par = bfs_far(a)
-    # middle of the a-b path
-    steps = dist[b] // 2
-    v = b
-    for _ in range(steps):
-        v = par[v]
-    return v
-
-
 def _bfs_tree(g: EmbeddedGraph, root: int):
+    """BFS parent darts, depths and visit order from `root`."""
     parent_dart = [-1] * g.vertex_count
     depth = [-1] * g.vertex_count
     depth[root] = 0
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    order = [root]
+    for v in order:
         for d in g.rotations[v]:
             w = g.head(d)
             if depth[w] < 0:
                 depth[w] = depth[v] + 1
                 parent_dart[w] = d
-                queue.append(w)
-    return parent_dart, depth
+                order.append(w)
+    return parent_dart, depth, order
+
+
+def _center_root(g: EmbeddedGraph) -> int:
+    """Middle of the path between the ends of a double BFS sweep."""
+    _, _, order = _bfs_tree(g, 0)
+    parent_dart, depth, order = _bfs_tree(g, order[-1])
+    v = order[-1]
+    for _ in range(depth[v] // 2):
+        v = g.tail(parent_dart[v])
+    return v
 
 
 def _fundamental_cycle(tg: EmbeddedGraph, e: int, parent_dart, depth):
@@ -269,7 +247,7 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
 
     tg = triangulate(g)
     root = _center_root(tg)
-    parent_dart, depth = _bfs_tree(tg, root)
+    parent_dart, depth, _ = _bfs_tree(tg, root)
     tree_edge = [False] * tg.edge_count
     for v in range(n):
         if parent_dart[v] >= 0:
@@ -329,14 +307,10 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
         if not (total == 0 or (3 * wa <= 2 * total and 3 * wb <= 2 * total)):
             continue
         if side_a and side_b:
-            if separator_audit is not None:
-                separator_audit.append((g, list(weights), list(cyc_vertices)))
             return cyc_vertices, side_a, side_b
         if fallback is None:
             fallback = (cyc_vertices, side_a, side_b)
     if fallback is not None:
-        if separator_audit is not None:
-            separator_audit.append((g, list(weights), list(fallback[0])))
         return fallback
     raise SeparatorFailed(
         f"no balanced fundamental cycle among {len(ranked)} candidates")
@@ -623,15 +597,7 @@ def attach_super_sinks(piece: Piece,
     entries = list(piece.holes)
     if piece.external is not None:
         entries.append(piece.external)
-    tokens_per_entry = [
-        [corner_dart(g, h.face, v) for v in h.anchors] for h in entries
-    ]
-
-    cur = g
-    sinks: list[int] = []
-    for tokens in tokens_per_entry:
-        ins = insert_vertex_in_face(cur, tokens)
-        cur = ins.graph
-        caps.extend([never_bottleneck, 0] * len(ins.new_edges))
-        sinks.append(ins.new_vertex)
-    return AttachedSinks(cur, caps, sinks)
+    ins = insert_vertices_in_faces(
+        g, [[corner_dart(g, h.face, v) for v in h.anchors] for h in entries])
+    caps.extend([never_bottleneck, 0] * (ins.graph.edge_count - g.edge_count))
+    return AttachedSinks(ins.graph, caps, ins.new_vertices)

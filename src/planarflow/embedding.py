@@ -217,11 +217,11 @@ def induced_subgraph(g: EmbeddedGraph, vertices) -> Subgraph:
 
 @dataclass
 class ApexInsertion:
-    """Result of inserting a new vertex inside a face."""
+    """Result of inserting new vertices inside faces, one per corner list."""
 
     graph: EmbeddedGraph
-    new_vertex: int
-    new_edges: list[int]  # edge ids (anchor -> apex), in walk order
+    new_vertices: list[int]
+    new_edges: list[list[int]]  # per vertex: anchor -> apex edge ids, walk order
 
 
 def corner_dart(g: EmbeddedGraph, face_id: int, vertex: int) -> int:
@@ -232,48 +232,59 @@ def corner_dart(g: EmbeddedGraph, face_id: int, vertex: int) -> int:
     raise ValueError(f"vertex {vertex} not on face {face_id}")
 
 
-def insert_vertex_in_face(g: EmbeddedGraph, corner_darts: list[int]) -> ApexInsertion:
-    """Insert one new vertex inside a face and connect it to chosen corners.
+def insert_vertices_in_faces(g: EmbeddedGraph,
+                             corner_lists: list[list[int]]) -> ApexInsertion:
+    """Insert one new vertex per corner list, all in a single graph build.
 
-    `corner_darts` are arrival darts of a single face, in walk order; the
-    new vertex gets one edge to the head of each. Dart and vertex ids of
-    the old graph are preserved (new material is appended), so capacities
-    or flows indexed by dart carry over unchanged.
+    Each list holds arrival darts of `g` on a single face; its new vertex
+    gets one edge to the head of each. No corner dart may appear in two
+    lists. Dart and vertex ids of the old graph are preserved, and new
+    vertices and edges are appended in list order, so capacities or flows
+    indexed by dart carry over unchanged. An empty batch returns `g`.
     """
-    if not corner_darts:
-        raise ValueError("need at least one corner dart")
-    fid = g.dart_face[corner_darts[0]]
-    walk = g.faces[fid]
-    pos = {d: i for i, d in enumerate(walk)}
-    for d in corner_darts:
-        if g.dart_face[d] != fid:
-            raise ValueError("corner darts must belong to a single face")
-    order = sorted(corner_darts, key=lambda d: pos[d])
-    if len(set(g.head(d) for d in order)) != len(order):
-        raise ValueError("one edge per anchor vertex: duplicate corner vertex")
-
-    apex = g.vertex_count
-    m = len(g.edges)
+    if not corner_lists:
+        return ApexInsertion(g, [], [])
+    n = g.vertex_count
     edges = list(g.edges)
-    new_edge_ids = []
+    new_vertices: list[int] = []
+    new_edges: list[list[int]] = []
+    apex_rotations: list[list[int]] = []
     insert_after: dict[int, int] = {}  # rev(arrival dart) -> new dart at anchor
-    for k, d in enumerate(order):
-        e = m + k
-        edges.append((g.head(d), apex))
-        new_edge_ids.append(e)
-        insert_after[d ^ 1] = 2 * e
+    for corner_darts in corner_lists:
+        if not corner_darts:
+            raise ValueError("need at least one corner dart")
+        fid = g.dart_face[corner_darts[0]]
+        pos = {d: i for i, d in enumerate(g.faces[fid])}
+        for d in corner_darts:
+            if g.dart_face[d] != fid:
+                raise ValueError("corner darts must belong to a single face")
+        order = sorted(corner_darts, key=lambda d: pos[d])
+        if len(set(g.head(d) for d in order)) != len(order):
+            raise ValueError("one edge per anchor vertex: duplicate corner vertex")
+
+        apex = n + len(new_vertices)
+        ids = []
+        for d in order:
+            if d ^ 1 in insert_after:
+                raise ValueError(f"corner dart {d} appears in two corner lists")
+            e = len(edges)
+            edges.append((g.head(d), apex))
+            ids.append(e)
+            insert_after[d ^ 1] = 2 * e
+        new_vertices.append(apex)
+        new_edges.append(ids)
+        # Apex sees its anchors in reverse walk order (face traversal closes
+        # each sub-face by stepping backwards around the new vertex).
+        apex_rotations.append([2 * e + 1 for e in reversed(ids)])
 
     rotations = []
-    for v in range(g.vertex_count):
+    for v in range(n):
         rot = []
         for d in g.rotations[v]:
             rot.append(d)
             if d in insert_after:
                 rot.append(insert_after[d])
         rotations.append(rot)
-    # Apex sees its anchors in reverse walk order (face traversal closes
-    # each sub-face by stepping backwards around the new vertex).
-    rotations.append([2 * (m + k) + 1 for k in reversed(range(len(order)))])
-
-    return ApexInsertion(EmbeddedGraph(g.vertex_count + 1, edges, rotations),
-                         apex, new_edge_ids)
+    rotations.extend(apex_rotations)
+    return ApexInsertion(EmbeddedGraph(n + len(new_vertices), edges, rotations),
+                         new_vertices, new_edges)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .embedding import EmbeddedGraph, build_graph, insert_vertex_in_face
+from .embedding import EmbeddedGraph, build_graph, insert_vertices_in_faces
 from .errors import InvalidParams
 from .formats import Instance
 
@@ -61,7 +61,7 @@ def stacked_triangulation(n: int, rng: random.Random) -> EmbeddedGraph:
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)], [[0, 5], [2, 1], [4, 3]])
     while g.vertex_count < n:
         walk = g.faces[rng.randrange(len(g.faces))]
-        g = insert_vertex_in_face(g, list(walk)).graph
+        g = insert_vertices_in_faces(g, [list(walk)]).graph
     return g
 
 

@@ -1,14 +1,13 @@
-"""Single-source, single-sink max-flow engines over FlowState residuals.
+"""Single-source, single-sink max flow over FlowState residuals.
 
-Engines augment the state they are given, so the returned value is the
+An engine augments the state it is given, so the returned value is the
 incremental flow found on top of whatever the state already carries. An
 optional `limit` caps that increment: each augmenting path's bottleneck
 is clamped to what is left of the limit, and the engine returns as soon
 as the limit is reached. This is how the solver pushes a vertex's excess
-on towards a sink. The default engine is blocking-flow augmentation
-(level graph + DFS); a plain shortest-augmenting-path engine is kept as
-an interchangeable alternative. Any conforming engine must produce
-identical values (flows may differ).
+on towards a sink. The one named engine is blocking-flow augmentation
+(level graph + DFS); callers may also pass any callable with the same
+signature, which must produce identical values (flows may differ).
 
 `max_st_flow` returns the value only. A caller that wants the min cut
 takes the residual-reachability side after the flow is maximum:
@@ -90,49 +89,7 @@ def blocking_flow(state: FlowState, s: int, t: int,
     return total
 
 
-def shortest_augmenting(state: FlowState, s: int, t: int,
-                        limit: int | None = None) -> int:
-    """BFS augmenting-path engine (one shortest path per round)."""
-    g = state.graph
-    rot = g.rotations
-    tails = g.dart_tails
-    total = 0
-    while total != limit:
-        parent_dart: dict[int, int] = {s: -1}
-        queue = deque([s])
-        found = False
-        while queue and not found:
-            v = queue.popleft()
-            for d in rot[v]:
-                if state.residual(d) > 0:
-                    w = tails[d ^ 1]
-                    if w not in parent_dart:
-                        parent_dart[w] = d
-                        if w == t:
-                            found = True
-                            break
-                        queue.append(w)
-        if not found:
-            return total
-        darts = []
-        v = t
-        while parent_dart[v] != -1:
-            d = parent_dart[v]
-            darts.append(d)
-            v = tails[d]
-        bottleneck = min(state.residual(d) for d in darts)
-        if limit is not None:
-            bottleneck = min(bottleneck, limit - total)
-        for d in darts:
-            state.push(d, bottleneck)
-        total += bottleneck
-    return total
-
-
-ENGINES: dict[str, Engine] = {
-    "dinic": blocking_flow,
-    "bfs": shortest_augmenting,
-}
+ENGINES: dict[str, Engine] = {"dinic": blocking_flow}
 DEFAULT_ENGINE = "dinic"
 
 

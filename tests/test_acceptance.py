@@ -204,44 +204,49 @@ def _recursive_division_audit(instance, params):
     return violations
 
 
-def test_criterion_7_separator_and_division_bounds():
+def test_criterion_7_separator_and_division_bounds(monkeypatch):
     """Grids n in {100, 1000, 10000}: simple balanced separators and
     size/boundary/hole bounds at every recursion level. Zero violations."""
     params = DivisionParams()
     problems = []
     audited = 0
-    dec.separator_audit = []
-    try:
-        for n in (100, 1000, 10_000):
-            inst = generate_instance("grid", n, 1, 10, 1)
-            problems += _recursive_division_audit(inst, params)
-        for graph, weights, cycle in dec.separator_audit:
-            audited += 1
-            if len(cycle) != len(set(cycle)):
-                problems.append("separator repeats a vertex")
+    separators = []
+    separate = dec._separate
+
+    def recording_separate(g, weights):
+        found = separate(g, weights)
+        separators.append((g, list(weights), list(found[0])))
+        return found
+
+    monkeypatch.setattr(dec, "_separate", recording_separate)
+    for n in (100, 1000, 10_000):
+        inst = generate_instance("grid", n, 1, 10, 1)
+        problems += _recursive_division_audit(inst, params)
+    for graph, weights, cycle in separators:
+        audited += 1
+        if len(cycle) != len(set(cycle)):
+            problems.append("separator repeats a vertex")
+            continue
+        total = sum(weights)
+        on = set(cycle)
+        seen = set(on)
+        for s0 in range(graph.vertex_count):
+            if s0 in seen:
                 continue
-            total = sum(weights)
-            on = set(cycle)
-            seen = set(on)
-            for s0 in range(graph.vertex_count):
-                if s0 in seen:
-                    continue
-                comp_w = weights[s0]
-                seen.add(s0)
-                queue = deque([s0])
-                while queue:
-                    x = queue.popleft()
-                    for d in graph.rotations[x]:
-                        w = graph.head(d)
-                        if w not in seen:
-                            seen.add(w)
-                            comp_w += weights[w]
-                            queue.append(w)
-                if 3 * comp_w > 2 * total:
-                    problems.append(
-                        f"component weight {comp_w} > 2/3 of {total}")
-    finally:
-        dec.separator_audit = None
+            comp_w = weights[s0]
+            seen.add(s0)
+            queue = deque([s0])
+            while queue:
+                x = queue.popleft()
+                for d in graph.rotations[x]:
+                    w = graph.head(d)
+                    if w not in seen:
+                        seen.add(w)
+                        comp_w += weights[w]
+                        queue.append(w)
+            if 3 * comp_w > 2 * total:
+                problems.append(
+                    f"component weight {comp_w} > 2/3 of {total}")
     _report("criterion-7 separator-division-bounds", not problems,
             f"{audited} separators audited across grids 100/1000/10000, "
             f"{len(problems)} violations" +

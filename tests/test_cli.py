@@ -1,3 +1,5 @@
+import pytest
+
 import planarflow.cli as cli
 from planarflow import parse_flow, parse_instance
 
@@ -84,6 +86,45 @@ def test_removed_params_key_rejected(tmp_path, capsys):
     code, _, err = run(["solve", str(path), "--params", "p=2"], capsys)
     assert code == 2
     assert "unknown params key" in err
+
+
+@pytest.mark.parametrize("argv, env_seed", [
+    (["solve", "{inst}", "--params", "c_p=abc"], None),
+    (["solve", "{inst}", "--params", "r=1.5"], None),
+    (["verify", "{inst}", "--params", "c_p=abc"], None),
+    (["verify", "{inst}", "--params", "r=1.5"], None),
+    (["verify", "{inst}", "--params", "p=2"], None),
+    (["verify", "{inst}", "--params", "r=2"], None),
+    (["bench", "--sizes", "100", "--params", "c_p=abc"], None),
+    (["bench", "--sizes", "100", "--params", "r=1.5"], None),
+    (["bench", "--sizes", "1x0"], None),
+    (["bench", "--sizes", "100", "--seeds", "a"], None),
+    (["gen", "--n", "10"], "abc"),
+], ids=["solve-c_p", "solve-r", "verify-c_p", "verify-r", "verify-p",
+        "verify-r-too-small", "bench-c_p", "bench-r", "bench-sizes",
+        "bench-seeds", "gen-env-seed"])
+def test_malformed_numbers_exit_2(argv, env_seed, tmp_path, capsys,
+                                  monkeypatch):
+    path = tmp_path / "edge.plem"
+    path.write_text(SINGLE_EDGE)
+    if env_seed is not None:
+        monkeypatch.setenv("PLANARFLOW_SEED", env_seed)
+    argv = [a.format(inst=path) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert "invalid parameters" in err
+    assert "FAIL" not in out  # a bad parameter is not a failed check
+
+
+def test_engine_flag_goes_before_the_verb(tmp_path, capsys):
+    path = tmp_path / "edge.plem"
+    path.write_text(SINGLE_EDGE)
+    code, out, _ = run(["--engine", "dinic", "solve", str(path)], capsys)
+    assert code == 0
+    assert parse_flow(out).value == 9
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--engine", "bfs", "solve", str(path)])
+    assert exc.value.code == 2
 
 
 def test_gen_deterministic(tmp_path, capsys):

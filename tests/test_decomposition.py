@@ -8,8 +8,9 @@ import planarflow.decomposition as dec
 from planarflow import (DivisionParams, Instance, InvalidParams,
                         attach_super_sinks, build_graph, cycle_separator,
                         divide, generate_instance, grid_graph,
-                        induced_subgraph, root_piece, stacked_triangulation,
-                        triangulate)
+                        induced_subgraph, insert_vertices_in_faces, root_piece,
+                        stacked_triangulation, triangulate)
+from planarflow.embedding import corner_dart
 
 
 def unit_instance(graph, sources=(0,), sinks=None):
@@ -99,18 +100,6 @@ def test_strip_separator_with_skewed_weights():
         weights[v] = 5
     cycle = cycle_separator(g, weights)
     check_separator(g, weights, cycle)
-
-
-def test_separator_audit_hook():
-    g = grid_graph(8, 8)
-    dec.separator_audit = []
-    try:
-        cycle_separator(g)
-        assert len(dec.separator_audit) == 1
-        audited_g, audited_w, audited_c = dec.separator_audit[0]
-        check_separator(audited_g, audited_w, audited_c)
-    finally:
-        dec.separator_audit = None
 
 
 # -- pieces, divisions -------------------------------------------------------
@@ -242,6 +231,20 @@ def test_attach_super_sinks_two_holes_plus_external():
     assert len(attached.super_sinks) == 3
     ag = attached.graph
     assert ag.vertex_count - ag.edge_count + len(ag.faces) == 2
+
+    # one batched build equals inserting the super sinks one at a time
+    corner_lists = [[corner_dart(sub.graph, h.face, v) for v in h.anchors]
+                    for h in holes + [external]]
+    one_by_one = sub.graph
+    for corners in corner_lists:
+        one_by_one = insert_vertices_in_faces(one_by_one, [corners]).graph
+    batched = insert_vertices_in_faces(sub.graph, corner_lists)
+    assert batched.graph.edges == one_by_one.edges == ag.edges
+    assert batched.graph.rotations == one_by_one.rotations == ag.rotations
+    assert batched.new_vertices == attached.super_sinks == [
+        sub.graph.vertex_count + i for i in range(3)]
+    assert [len(ids) for ids in batched.new_edges] == [
+        len(corners) for corners in corner_lists]
 
 
 def test_attached_capacities_reject_wrong_length():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarflow import (DanglingDart, NonEmbedding, build_graph, grid_graph,
-                        induced_subgraph, insert_vertex_in_face,
+                        induced_subgraph, insert_vertices_in_faces,
                         stacked_triangulation)
 
 TRIANGLE = dict(vertex_count=3, edges=[(0, 1), (1, 2), (2, 0)],
@@ -88,10 +88,10 @@ def test_toroidal_rotation_fails_euler():
         build_graph(4, edges, twisted)
 
 
-def test_insert_vertex_in_face_full_star():
+def test_insert_vertices_in_faces_full_star():
     g = grid_graph(3, 3)
     quad = next(f for f in g.faces if len(f) == 4)
-    ins = insert_vertex_in_face(g, list(quad))
+    ins = insert_vertices_in_faces(g, [list(quad)])
     h = ins.graph
     assert h.vertex_count == g.vertex_count + 1
     assert h.edge_count == g.edge_count + 4
@@ -104,9 +104,16 @@ def test_insert_vertex_in_face_full_star():
 def test_insert_vertex_single_anchor_keeps_face_count():
     g = grid_graph(3, 3)
     quad = next(f for f in g.faces if len(f) == 4)
-    ins = insert_vertex_in_face(g, [quad[0]])
+    ins = insert_vertices_in_faces(g, [[quad[0]]])
     assert len(ins.graph.faces) == len(g.faces)
-    assert len(ins.graph.rotations[ins.new_vertex]) == 1
+    assert len(ins.graph.rotations[ins.new_vertices[0]]) == 1
+
+
+def test_insert_vertices_rejects_a_corner_named_twice():
+    g = grid_graph(3, 3)
+    quad = next(f for f in g.faces if len(f) == 4)
+    with pytest.raises(ValueError):
+        insert_vertices_in_faces(g, [[quad[0]], [quad[0], quad[2]]])
 
 
 def test_induced_subgraph_inherits_embedding():

@@ -1,7 +1,8 @@
 import pytest
 
-from planarflow import (ENGINES, FlowState, check_cut_saturated, cut_from_side,
-                        flow_value, is_max_preflow, max_st_flow, oracle_value,
+from planarflow import (DEFAULT_ENGINE, ENGINES, FlowState,
+                        check_cut_saturated, cut_from_side, flow_value,
+                        is_max_preflow, max_st_flow, oracle_value,
                         parse_instance, residual_reachable)
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 4 0\nsrc 0\nsnk 1\n"
@@ -55,10 +56,11 @@ def test_engines_match_oracle(engine, small_corpus):
 
 
 def test_engine_values_agree(small_corpus):
+    """Named engines, the default and a callable engine give one value."""
     for inst in small_corpus[:12]:
         s, t = inst.sources[0], inst.sinks[0]
         values = set()
-        for engine in ENGINES:
+        for engine in [*ENGINES, None, ENGINES[DEFAULT_ENGINE]]:
             state = FlowState.from_instance(inst)
             values.add(max_st_flow(state, s, t, engine))
         assert len(values) == 1

@@ -8,6 +8,7 @@ from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
                         pairwise_arbitrary_saturation, parse_instance,
                         piece_maxflow, root_piece, sequential_saturation,
                         solve_recursive, validate_flow)
+from planarflow.maxflow import blocking_flow
 from conftest import corpus
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 9 0\nsrc 0\nsnk 1\n"
@@ -156,21 +157,43 @@ def test_phase_hooks_fire_and_preserve_value():
 
 
 def test_engines_give_same_value_through_solvers(small_corpus):
+    """A callable engine is what both solvers call, and it reaches the
+    oracle value."""
+    calls = 0
+
+    def counting(state, s, t, limit=None):
+        nonlocal calls
+        calls += 1
+        return blocking_flow(state, s, t, limit)
+
     for inst in small_corpus[:6]:
-        a = flow_value(solve_recursive(inst, engine="dinic"), inst.sinks)
-        b = flow_value(solve_recursive(inst, engine="bfs"), inst.sinks)
-        assert a == b
+        want = oracle_value(inst)
+        for solve in (solve_recursive, sequential_saturation):
+            before = calls
+            state = solve(inst, engine=counting)
+            assert calls > before
+            assert flow_value(state, inst.sinks) == want
 
 
 def test_cycle_canceller_fire_count_reported():
     """The conversion keeps a cycle canceller in the pipeline; this reports
     how often it actually fires across a corpus (no pass/fail threshold)."""
+    class SubLevels(SolveTrace):
+        fired = 0
+
+        def phase1_done(self, piece, sub_instance, sub_state):
+            # every recursion level solves its phase-1 sub-instance on its
+            # own FlowState; count its cancellations too
+            self.fired += sub_state.cancelled_cycles
+
+    sub_levels = SubLevels()
     fired = 0
     solves = 0
     for inst in corpus(40, seed0=12_000, max_n=120):
-        state = solve_recursive(inst, DivisionParams(r=24))
+        state = solve_recursive(inst, DivisionParams(r=24), trace=sub_levels)
         fired += state.cancelled_cycles
         solves += 1
+    fired += sub_levels.fired
     print(f"[report] cycle canceller fired {fired} times "
           f"across {solves} recursive solves")
     assert fired >= 0
