@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .decomposition import DivisionParams, division_tree
 from .errors import InvalidParams, ParseError, PlanarFlowError
-from .flowstate import flow_value
+from .flowstate import FlowState, flow_value
 from .formats import parse_flow, parse_instance, write_flow, write_instance
 from .generators import KINDS, generate_instance
 from .maxflow import DEFAULT_ENGINE, ENGINES
@@ -170,10 +170,8 @@ def cmd_verify(args) -> int:
         report(not violations, "flow-valid",
                "no violations" if not violations else
                f"{len(violations)} violations: {violations[0]}")
-        computed = sum(flow[d] for d in range(len(flow))
-                       if inst.graph.head(d) in set(inst.sinks)) - sum(
-            flow[d] for d in range(len(flow))
-            if inst.graph.tail(d) in set(inst.sinks))
+        computed = flow_value(
+            FlowState(inst.graph, inst.capacities, flow), inst.sinks)
         report(computed == dump.value, "flow-value",
                f"dump={dump.value} computed={computed}")
         report(computed == oracle, "oracle-match",

@@ -8,8 +8,9 @@ a piece with balanced cycle separators until every subpiece satisfies the
 size, boundary and hole bounds.
 
 Separators are fundamental cycles of a BFS tree in a chord-triangulated
-scratch copy: candidates are ranked by dual-tree subtree weights and then
-verified exactly (simple cycle, 2/3 balance of both sides) before use.
+scratch copy: candidates are ranked by dual-tree subtree weights, the two
+sides of a candidate come from the dual subtree under its non-tree edge,
+and the 2/3 balance of both sides is checked exactly before use.
 """
 
 from __future__ import annotations
@@ -166,78 +167,14 @@ def _fundamental_cycle(tg: EmbeddedGraph, e: int, parent_dart, depth):
     return cyc
 
 
-def _classify_sides(tg: EmbeddedGraph, cycle_darts: list[int]):
-    """Split tg's non-cycle vertices into the two sides of a dart cycle.
-
-    Side membership of a neighbor is read off the rotation interval at each
-    cycle vertex between the departing and arriving cycle darts; whole
-    components of tg minus the cycle inherit the side of their seeds.
-    Returns (cycle_vertices, side_a, side_b) or None on inconsistency.
-    """
-    n = tg.vertex_count
-    on_cycle = [False] * n
-    cyc_vertices = [tg.tail(d) for d in cycle_darts]
-    for c in cyc_vertices:
-        if on_cycle[c]:
-            return None  # not a simple cycle
-        on_cycle[c] = True
-
-    comp = [-1] * n
-    comps: list[list[int]] = []
-    for s in range(n):
-        if comp[s] >= 0 or on_cycle[s]:
-            continue
-        cid = len(comps)
-        comp[s] = cid
-        bucket = [s]
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for d in tg.rotations[x]:
-                w = tg.head(d)
-                if not on_cycle[w] and comp[w] < 0:
-                    comp[w] = cid
-                    bucket.append(w)
-                    queue.append(w)
-        comps.append(bucket)
-
-    comp_side = [0] * len(comps)  # 0 unknown, 1 side A, 2 side B
-    k = len(cycle_darts)
-    for i in range(k):
-        d_out = cycle_darts[i]
-        d_in = cycle_darts[i - 1]
-        c = tg.tail(d_out)
-        rot = tg.rotations[c]
-        try:
-            pos = rot.index(d_out)
-        except ValueError:
-            return None
-        stop = d_in ^ 1
-        side = 1
-        j = (pos + 1) % len(rot)
-        while j != pos:
-            d = rot[j]
-            if d == stop:
-                side = 2
-            else:
-                w = tg.head(d)
-                if not on_cycle[w]:
-                    cid = comp[w]
-                    if comp_side[cid] == 0:
-                        comp_side[cid] = side
-                    elif comp_side[cid] != side:
-                        return None  # embedding says both sides: reject
-            j = (j + 1) % len(rot)
-
-    side_a: list[int] = []
-    side_b: list[int] = []
-    for cid, bucket in enumerate(comps):
-        (side_a if comp_side[cid] != 2 else side_b).extend(bucket)
-    return cyc_vertices, side_a, side_b
-
-
 def _separate(g: EmbeddedGraph, weights: list[int]):
-    """Balanced simple-cycle separator: (cycle vertices, side A, side B)."""
+    """Balanced cycle separator: (cycle vertices, side A, side B).
+
+    The non-tree edges of a BFS tree form a spanning tree of the dual, and
+    the fundamental cycle of a non-tree edge e encloses exactly the faces
+    of the dual subtree below e. A vertex off the cycle lies on the side of
+    every face around it.
+    """
     n = g.vertex_count
     if not g.connected:
         raise NotConnected("cycle separator needs a connected graph")
@@ -264,11 +201,12 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
         f2 = tg.dart_face[2 * e + 1]
         dual_adj[f1].append((f2, e))
         dual_adj[f2].append((f1, e))
+    rep_face = [tg.dart_face[rot[0]] for rot in tg.rotations]
     face_w = [0] * fcount
     for v in range(n):
-        if weights[v] and tg.rotations[v]:
-            face_w[tg.dart_face[tg.rotations[v][0]]] += weights[v]
-    parent_edge = [-1] * fcount
+        face_w[rep_face[v]] += weights[v]
+    children: list[list[int]] = [[] for _ in range(fcount)]
+    below: dict[int, int] = {}  # non-tree edge -> the face just under it
     order = [0]
     seen = [False] * fcount
     seen[0] = True
@@ -276,19 +214,16 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
         for (f2, e) in dual_adj[f]:
             if not seen[f2]:
                 seen[f2] = True
-                parent_edge[f2] = e
+                children[f].append(f2)
+                below[e] = f2
                 order.append(f2)
     subtree = list(face_w)
-    edge_inside = {}
-    for f in reversed(order[1:]):
-        e = parent_edge[f]
-        edge_inside[e] = subtree[f]
-        f1 = tg.dart_face[2 * e]
-        f2 = tg.dart_face[2 * e + 1]
-        subtree[f2 if f == f1 else f1] += subtree[f]
+    for f in reversed(order):
+        for c in children[f]:
+            subtree[f] += subtree[c]
 
     half = total / 2.0
-    ranked = sorted(edge_inside, key=lambda e: (abs(edge_inside[e] - half), e))
+    ranked = sorted(below, key=lambda e: (abs(subtree[below[e]] - half), e))
 
     # Prefer balanced candidates that leave vertices on both sides: a split
     # that recreates the whole piece makes no division progress. Cycle-only
@@ -298,10 +233,21 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
         cyc = _fundamental_cycle(tg, e, parent_dart, depth)
         if cyc is None:
             continue
-        sides = _classify_sides(tg, cyc)
-        if sides is None:
-            continue
-        cyc_vertices, side_a, side_b = sides
+        inside = [False] * fcount
+        stack = [below[e]]
+        while stack:
+            f = stack.pop()
+            inside[f] = True
+            stack.extend(children[f])
+        # the faces of the cycle's own darts lie on side B
+        a_inside = not inside[tg.dart_face[cyc[0]]]
+        cyc_vertices = [tg.tail(d) for d in cyc]
+        on_cycle = set(cyc_vertices)
+        side_a: list[int] = []
+        side_b: list[int] = []
+        for v in range(n):
+            if v not in on_cycle:
+                (side_a if inside[rep_face[v]] == a_inside else side_b).append(v)
         wa = sum(weights[v] for v in side_a)
         wb = sum(weights[v] for v in side_b)
         if not (total == 0 or (3 * wa <= 2 * total and 3 * wb <= 2 * total)):
@@ -380,8 +326,14 @@ class DivisionParams:
             raise InvalidParams("sink bound must be at least 2")
         if self.r < 2:
             raise InvalidParams("r must be at least 2")
-        if self.boundary_coeff <= 0:
-            raise InvalidParams("boundary_coeff must be positive")
+        if not 0 < self.boundary_coeff < math.inf:
+            raise InvalidParams("boundary_coeff must be finite and positive")
+        # a subproblem is a piece plus its super sinks; it must end up smaller
+        # than the level it came from or the recursion cannot bottom out
+        if self.r * (1 - self.c_p) < self.sink_bound:
+            raise InvalidParams(
+                f"r={self.r} too small for c_p={self.c_p}, t={self.sink_bound}: "
+                "need r*(1-c_p) >= t so recursive instances shrink")
 
     @property
     def hole_bound(self) -> int:

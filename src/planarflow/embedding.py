@@ -64,9 +64,6 @@ class EmbeddedGraph:
     def head(self, dart: int) -> int:
         return self.dart_tails[dart ^ 1]
 
-    def face_of(self, dart: int) -> int:
-        return self.dart_face[dart]
-
     def next_face_dart(self, dart: int) -> int:
         """Successor of a dart along its face cycle."""
         return self._rot_next[dart ^ 1]

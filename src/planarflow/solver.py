@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from .decomposition import (DivisionParams, Piece, attach_super_sinks, divide,
                             root_piece)
-from .errors import (CannotSatisfyBounds, InvalidParams, SeparatorFailed,
-                     TooManySinks)
+from .errors import CannotSatisfyBounds, SeparatorFailed, TooManySinks
 from .flowstate import FlowState, cancel_flow_cycles, drain_excess, flow_value
 from .formats import Instance
 from .maxflow import max_st_flow
@@ -170,10 +169,4 @@ def solve_recursive(instance: Instance, params: DivisionParams | None = None,
     if len(instance.sinks) > params.sink_bound:
         raise TooManySinks(
             f"{len(instance.sinks)} sinks exceed the bound {params.sink_bound}")
-    # a subproblem is a piece plus its super sinks; it must end up smaller
-    # than the level it came from or the recursion cannot bottom out
-    if params.r * (1 - params.c_p) < params.sink_bound:
-        raise InvalidParams(
-            f"r={params.r} too small for c_p={params.c_p}, t={params.sink_bound}: "
-            "need r*(1-c_p) >= t so recursive instances shrink")
     return _solve(instance, params, engine, trace)

@@ -91,6 +91,7 @@ def test_removed_params_key_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("argv, env_seed", [
     (["solve", "{inst}", "--params", "c_p=abc"], None),
     (["solve", "{inst}", "--params", "r=1.5"], None),
+    (["solve", "{inst}", "--params", "boundary_coeff=nan"], None),
     (["verify", "{inst}", "--params", "c_p=abc"], None),
     (["verify", "{inst}", "--params", "r=1.5"], None),
     (["verify", "{inst}", "--params", "p=2"], None),
@@ -100,9 +101,9 @@ def test_removed_params_key_rejected(tmp_path, capsys):
     (["bench", "--sizes", "1x0"], None),
     (["bench", "--sizes", "100", "--seeds", "a"], None),
     (["gen", "--n", "10"], "abc"),
-], ids=["solve-c_p", "solve-r", "verify-c_p", "verify-r", "verify-p",
-        "verify-r-too-small", "bench-c_p", "bench-r", "bench-sizes",
-        "bench-seeds", "gen-env-seed"])
+], ids=["solve-c_p", "solve-r", "solve-boundary-nan", "verify-c_p",
+        "verify-r", "verify-p", "verify-r-too-small", "bench-c_p", "bench-r",
+        "bench-sizes", "bench-seeds", "gen-env-seed"])
 def test_malformed_numbers_exit_2(argv, env_seed, tmp_path, capsys,
                                   monkeypatch):
     path = tmp_path / "edge.plem"
@@ -114,6 +115,7 @@ def test_malformed_numbers_exit_2(argv, env_seed, tmp_path, capsys,
     assert code == 2
     assert "invalid parameters" in err
     assert "FAIL" not in out  # a bad parameter is not a failed check
+    assert "PASS" not in out  # nor is any check run before it is rejected
 
 
 def test_engine_flag_goes_before_the_verb(tmp_path, capsys):

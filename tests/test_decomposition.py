@@ -93,12 +93,45 @@ def test_grid_separator_balance_and_length(k):
     assert len(cycle) <= 4 * k + 2
 
 
-def test_strip_separator_with_skewed_weights():
-    g = grid_graph(2, 30)
+def _skewed_strip_weights():
     weights = [0] * 60
     for v in (0, 1, 30, 31, 58, 59):
         weights[v] = 5
+    return weights
+
+
+def test_strip_separator_with_skewed_weights():
+    g = grid_graph(2, 30)
+    weights = _skewed_strip_weights()
     cycle = cycle_separator(g, weights)
+    check_separator(g, weights, cycle)
+
+
+def _cycle_graph(k):
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    rotations = [[2 * ((i - 1) % k) + 1, 2 * i] for i in range(k)]
+    return build_graph(k, edges, rotations)
+
+
+@pytest.mark.parametrize("build, weigh", [
+    (lambda: grid_graph(12, 12), None),
+    (lambda: stacked_triangulation(200, random.Random(0)), None),
+    (lambda: induced_subgraph(
+        grid_graph(6, 6), [v for v in range(36) if v not in (14, 21)]).graph,
+     None),
+    (lambda: _cycle_graph(40), None),
+    (lambda: grid_graph(2, 30), _skewed_strip_weights),
+], ids=["grid-12x12", "triangulation-200", "grid-piece", "cycle-40",
+        "strip-skewed"])
+def test_separator_sides_partition_and_split(build, weigh):
+    g = build()
+    weights = weigh() if weigh else [1] * g.vertex_count
+    cycle, side_a, side_b = dec._separate(g, weights)
+    assert sorted(cycle + side_a + side_b) == list(range(g.vertex_count))
+    a, b = set(side_a), set(side_b)
+    for u, v in g.edges:
+        assert not (u in a and v in b or u in b and v in a), \
+            f"edge ({u}, {v}) joins the two sides"
     check_separator(g, weights, cycle)
 
 
@@ -155,12 +188,8 @@ def test_divide_covers_parent_exactly_once_in_interiors():
 
 def test_divide_single_face_cycle_piece():
     # a bare cycle still divides within hole bounds
-    k = 40
-    edges = [(i, (i + 1) % k) for i in range(k)]
-    rotations = [[2 * ((i - 1) % k) + 1, 2 * i] for i in range(k)]
-    g = build_graph(k, edges, rotations)
-    inst = unit_instance(g)
-    division = divide(root_piece(inst), DivisionParams(r=8))
+    inst = unit_instance(_cycle_graph(40))
+    division = divide(root_piece(inst), DivisionParams(r=12))
     for piece in division.pieces:
         assert len(piece.holes) <= DivisionParams().hole_bound
 
@@ -172,6 +201,13 @@ def test_params_validation():
         DivisionParams(r=0)
     with pytest.raises(InvalidParams):
         DivisionParams(sink_bound=1)
+    for coeff in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            DivisionParams(boundary_coeff=coeff)
+    # r*(1-c_p) >= t, so that recursive instances shrink
+    with pytest.raises(InvalidParams):
+        DivisionParams(r=8)
+    DivisionParams(r=12)
 
 
 # -- super sinks -------------------------------------------------------------
