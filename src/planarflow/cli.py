@@ -67,9 +67,13 @@ def _default_seed(value: int | None) -> int:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """Text of a file, or of stdin for ``-``; ParseError if unreadable."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def _write_out(text: str, path: str | None) -> None:

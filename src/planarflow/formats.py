@@ -50,23 +50,25 @@ class Instance:
 
 
 class _Tokens:
-    """Token stream with one-token lookahead over comment-stripped text."""
+    """Token stream with one-token lookahead over comment-stripped text.
+
+    Tokens are held in reverse order and popped as they are read, so a
+    consumed token is freed at once instead of at the end of the parse.
+    """
 
     def __init__(self, text: str):
         self.toks: list[str] = []
         for line in text.splitlines():
             self.toks.extend(line.split("#", 1)[0].split())
-        self.pos = 0
+        self.toks.reverse()
 
     def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        return self.toks[-1] if self.toks else None
 
     def take(self, what: str) -> str:
-        if self.pos >= len(self.toks):
+        if not self.toks:
             raise ParseError(f"unexpected end of input, expected {what}")
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+        return self.toks.pop()
 
     def take_int(self, what: str) -> int:
         return _int_token(self.take(what), what)
@@ -98,7 +100,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("negative counts in header")
     # each rot line takes at least 2 tokens and each edge line 6; check
     # before sizing any list from the header
-    left = len(ts.toks) - ts.pos
+    left = len(ts.toks)
     if 2 * n + 6 * m > left:
         raise ParseError(f"header 'plem {n} {m}' needs at least {2 * n + 6 * m} "
                          f"more tokens, input has {left}")

@@ -2,14 +2,17 @@
 
 Both generators know their embedding by construction, so no planarity
 testing is ever needed: grids use the compass rotation order, random
-triangulations are grown by repeated in-face vertex insertion.
+triangulations are grown by repeated in-face vertex insertion on plain
+rotation lists. Each generator validates its graph once, in one
+`build_graph` call at the end.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 
-from .embedding import EmbeddedGraph, build_graph, insert_vertices_in_faces
+from .embedding import EmbeddedGraph, build_graph
 from .errors import InvalidParams
 from .formats import Instance
 
@@ -55,14 +58,39 @@ def stacked_triangulation(n: int, rng: random.Random) -> EmbeddedGraph:
     Starts from a triangle; every step stars a new vertex into a random
     face, which keeps all faces triangles. Returns a connected, simple,
     fully triangulated planar graph on exactly n >= 3 vertices.
+
+    The graph grows on mutable edge and rotation lists and is built once,
+    at the end. It equals, id for id, the graph made by calling
+    `insert_vertices_in_faces(g, [g.faces[rng.randrange(len(g.faces))]])`
+    once per new vertex.
     """
     if n < 3:
         raise InvalidParams("triangulation needs at least 3 vertices")
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)], [[0, 5], [2, 1], [4, 3]])
-    while g.vertex_count < n:
-        walk = g.faces[rng.randrange(len(g.faces))]
-        g = insert_vertices_in_faces(g, [list(walk)]).graph
-    return g
+    edges = [(0, 1), (1, 2), (2, 0)]
+    rotations = [[0, 5], [2, 1], [4, 3]]
+    # Face walks keyed by their smallest dart, each walk starting at that
+    # dart. EmbeddedGraph numbers faces in the order of their smallest
+    # dart and starts each walk there, so the k-th key names g.faces[k].
+    faces = {0: [0, 2, 4], 1: [1, 5, 3]}
+    keys = [0, 1]
+    for apex in range(3, n):
+        walk = faces[keys[rng.randrange(len(keys))]]
+        ids = []
+        for d in walk:
+            head = edges[d >> 1][1 - (d & 1)]
+            e = len(edges)
+            edges.append((head, apex))
+            ids.append(e)
+            rot = rotations[head]
+            rot.insert(rot.index(d ^ 1) + 1, 2 * e)
+        rotations.append([2 * e + 1 for e in reversed(ids)])
+        # every new dart id exceeds every old one, so each new face is
+        # keyed by, and starts at, the old dart it keeps
+        for i, d in enumerate(walk):
+            faces[d] = [d, 2 * ids[i], 2 * ids[i - 1] + 1]
+        bisect.insort(keys, walk[1])
+        bisect.insort(keys, walk[2])
+    return build_graph(n, edges, rotations)
 
 
 def generate_instance(kind: str, n: int, seed: int, cap_max: int,

@@ -80,6 +80,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("verb", ["solve", "verify", "verify-flow"])
+@pytest.mark.parametrize("content", [None, b"plem 2 1\nrot 0 0 \xff\n"],
+                         ids=["missing", "not-utf8"])
+def test_unreadable_input_is_a_parse_error(verb, content, tmp_path, capsys):
+    path = tmp_path / "input.plem"
+    if content is not None:
+        path.write_bytes(content)
+    if verb == "verify-flow":
+        inst = tmp_path / "edge.plem"
+        inst.write_text(SINGLE_EDGE)
+        argv = ["verify", str(inst), "--flow", str(path)]
+    else:
+        argv = [verb, str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert f"parse error: cannot read {path}" in err
+    assert "FAIL" not in out and "PASS" not in out
+
+
 def test_removed_params_key_rejected(tmp_path, capsys):
     path = tmp_path / "edge.plem"
     path.write_text(SINGLE_EDGE)

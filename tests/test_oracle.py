@@ -5,7 +5,7 @@ import pytest
 from planarflow import (FlowState, SearchFailed, build_fig1_counterexample,
                         flow_value, load_fig1_fixture, max_st_flow,
                         oracle_value, parse_instance, sequential_saturation,
-                        validate_flow)
+                        validate_flow, write_instance)
 from conftest import corpus, relabel
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 9 0\nsrc 0\nsnk 1\n"
@@ -69,8 +69,7 @@ def test_search_finds_the_frozen_counterexample():
     inst, order = build_fig1_counterexample(max_seeds=FIG1_SEARCH_SEED + 1)
     fixture, fixture_order = load_fig1_fixture()
     assert oracle_value(inst) == 3
-    assert inst.graph.edges == fixture.graph.edges
-    assert inst.capacities == fixture.capacities
+    assert write_instance(inst) == write_instance(fixture)  # rotations too
     assert order == fixture_order
 
 
