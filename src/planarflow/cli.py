@@ -1,8 +1,9 @@
 """Command-line front end: solve, verify, gen, bench, fig1.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or parameter
-error, 3 solver error. All randomness flows through one ``--seed`` flag
-(environment variable ``PLANARFLOW_SEED`` is the fallback).
+error or an output path that cannot be written, 3 solver error. All
+randomness flows through one ``--seed`` flag (environment variable
+``PLANARFLOW_SEED`` is the fallback).
 """
 
 from __future__ import annotations
@@ -76,9 +77,20 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+class _WriteFailed(Exception):
+    """An output path could not be written; main exits with code 2."""
+
+
+def _write_file(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _WriteFailed(f"cannot write {path}: {exc}") from None
+
+
 def _write_out(text: str, path: str | None) -> None:
     if path and path != "-":
-        Path(path).write_text(text)
+        _write_file(path, text)
     else:
         sys.stdout.write(text)
 
@@ -89,7 +101,10 @@ class _CliTrace(SolveTrace):
     def __init__(self, directory: str | None, divisions_path: str | None):
         self.dir = Path(directory) if directory else None
         if self.dir:
-            self.dir.mkdir(parents=True, exist_ok=True)
+            try:
+                self.dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise _WriteFailed(f"cannot write {directory}: {exc}") from None
         self.divisions_path = divisions_path
         self.division_lines: list[str] = []
         self.step = 0
@@ -98,7 +113,7 @@ class _CliTrace(SolveTrace):
         if self.dir is None:
             return
         text = write_flow(state.flow, flow_value(state, sinks))
-        (self.dir / f"step{self.step:04d}_{tag}.pflo").write_text(text)
+        _write_file(self.dir / f"step{self.step:04d}_{tag}.pflo", text)
         self.step += 1
 
     def phase1_done(self, piece, sub_instance, sub_state):
@@ -115,8 +130,8 @@ class _CliTrace(SolveTrace):
 
     def finish(self) -> None:
         if self.divisions_path and self.division_lines:
-            Path(self.divisions_path).write_text(
-                "\n".join(self.division_lines) + "\n")
+            _write_file(self.divisions_path,
+                        "\n".join(self.division_lines) + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -316,6 +331,9 @@ def main(argv=None) -> int:
         return 2
     except InvalidParams as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 2
+    except _WriteFailed as exc:
+        print(exc, file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,18 @@ on towards a sink. The one named engine is blocking-flow augmentation
 (level graph + DFS); callers may also pass any callable with the same
 signature, which must produce identical values (flows may differ).
 
+An engine also takes `dead`, a set of vertices known not to reach `t`
+in the current residual graph. Blocking-flow augmentation never enters
+such a vertex, and when a search misses `t` it adds every vertex that
+search reached. `max_st_flow` returns 0 at once for a source in `dead`.
+Augmenting towards `t` adds residual arcs only between vertices that
+already reach `t`, so a set stays valid while flow goes only to `t`;
+the solvers keep one set per sink for one push loop and clear the other
+sinks' sets whenever a push adds flow. Pruning leaves the BFS levels of
+every vertex that reaches `t` unchanged, so the paths found, and the
+flow, are those of an engine that ignores `dead`. A callable engine may
+ignore it: it then learns nothing and nothing is skipped.
+
 `max_st_flow` returns the value only. A caller that wants the min cut
 takes the residual-reachability side after the flow is maximum:
 ``cut_from_side(state.graph, residual_reachable(state, s))``.
@@ -21,33 +33,43 @@ from typing import Callable
 
 from .flowstate import FlowState
 
-Engine = Callable[[FlowState, int, int, int | None], int]
+Engine = Callable[[FlowState, int, int, int | None, set[int] | None], int]
 
 
 def blocking_flow(state: FlowState, s: int, t: int,
-                  limit: int | None = None) -> int:
-    """Dinic-style engine: repeat BFS level graphs + DFS blocking flows."""
+                  limit: int | None = None,
+                  dead: set[int] | None = None) -> int:
+    """Dinic-style engine: repeat BFS level graphs + DFS blocking flows.
+
+    The BFS never enters a vertex of `dead`; a BFS that misses `t` adds
+    every vertex it reached to `dead`.
+    """
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
     cap = state.capacity
     flow = state.flow
     n = g.vertex_count
+    # level -1 marks an unvisited vertex, -2 one the BFS must not enter
+    unvisited = [-1] * n
+    for v in dead or ():
+        unvisited[v] = -2
     total = 0
     while total != limit:
-        level = [-1] * n
+        level = unvisited[:]
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
+        reached = [s]
+        for v in reached:  # the list grows behind the loop: a FIFO queue
             nxt = level[v] + 1
             for d in rot[v]:
                 if cap[d] - flow[d] + flow[d ^ 1] > 0:
                     w = tails[d ^ 1]
-                    if level[w] < 0:
+                    if level[w] == -1:
                         level[w] = nxt
-                        queue.append(w)
+                        reached.append(w)
         if level[t] < 0:
+            if dead is not None:
+                dead.update(reached)
             return total
         ptr = [0] * n
         path: list[int] = []
@@ -122,14 +144,19 @@ def residual_reachable(state: FlowState, source: int) -> set[int]:
 
 def max_st_flow(state: FlowState, s: int, t: int,
                 engine: str | Engine | None = None,
-                limit: int | None = None) -> int:
+                limit: int | None = None,
+                dead: set[int] | None = None) -> int:
     """Augment `state` by a maximum s-t flow; returns the value added.
 
     With `limit`, at most that many units are added, so the return value
-    is ``min(limit, residual max-flow value s -> t)``.
+    is ``min(limit, residual max-flow value s -> t)``. `dead` is a set of
+    vertices known not to reach `t`; the engine may add to it, and a
+    source in it returns 0 without calling the engine.
     """
     if s == t:
         raise ValueError("source and sink must differ")
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    return _resolve(engine)(state, s, t, limit)
+    if dead is not None and s in dead:
+        return 0
+    return _resolve(engine)(state, s, t, limit, dead)

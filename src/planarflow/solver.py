@@ -14,6 +14,11 @@ Two independent algorithms are provided:
 ``pairwise_arbitrary_saturation`` saturates explicit (source, sink) pairs
 in a given order; it exists to demonstrate that ungrouped pair orders are
 not optimal in general.
+
+Sequential saturation and phase 2 keep, for one push loop, a set per sink
+of vertices known not to reach it (see ``maxflow``): a push from such a
+vertex returns 0 without a search, and searches towards that sink never
+enter them. The flows found are those of the same loops without the sets.
 """
 
 from __future__ import annotations
@@ -48,10 +53,27 @@ class SolveTrace:
         pass
 
 
+def _push(state: FlowState, p: int, t: int, dead: dict[int, set[int]],
+          engine, limit: int | None = None) -> int:
+    """`max_st_flow` from p to t inside one push loop.
+
+    `dead[t]` holds vertices known not to reach sink t. A push that adds
+    flow to t may open residual paths towards the other sinks, so their
+    sets are cleared; t's own set stays valid.
+    """
+    value = max_st_flow(state, p, t, engine, limit, dead[t])
+    if value:
+        for u, known in dead.items():
+            if u != t:
+                known.clear()
+    return value
+
+
 def _saturate_sources(state: FlowState, sources, sinks, engine, trace) -> None:
+    dead = {t: set() for t in sinks}
     for s in sources:
         for t in sinks:
-            value = max_st_flow(state, s, t, engine)
+            value = _push(state, s, t, dead, engine)
             if trace is not None:
                 trace.pair_saturated(state, s, t, value)
 
@@ -83,7 +105,8 @@ def piece_maxflow(piece: Piece, state: FlowState, sources, sinks,
     vertex ids. Phase 1 routes interior sources to the piece boundary by
     solving a residual copy of the piece against per-hole super sinks;
     phase 2 pushes from each boundary vertex (ascending id) to each sink
-    (ascending id); phase 3 restores conservation.
+    (ascending id), skipping vertices known not to reach that sink;
+    phase 3 restores conservation.
     """
     if params is None:
         params = DivisionParams()
@@ -110,17 +133,18 @@ def piece_maxflow(piece: Piece, state: FlowState, sources, sinks,
                 trace.phase1_done(piece, sub_instance, sub_state)
 
     ordered_sinks = sorted(sink_set)
+    dead = {t: set() for t in ordered_sinks}
     for p in sorted(piece.to_parent_vertex[v] for v in piece.boundary):
         if p in sink_set:
             continue
         if p in source_set:
             for t in ordered_sinks:
-                max_st_flow(state, p, t, engine)
+                _push(state, p, t, dead, engine)
         elif state.excess[p] > 0:
             for t in ordered_sinks:
                 if state.excess[p] <= 0:
                     break
-                max_st_flow(state, p, t, engine, limit=state.excess[p])
+                _push(state, p, t, dead, engine, limit=state.excess[p])
     if trace is not None:
         trace.phase2_done(
             Instance(state.graph, state.capacity, sorted(source_set),

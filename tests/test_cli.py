@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import planarflow.cli as cli
@@ -214,3 +219,39 @@ def test_divisions_dump_written(tmp_path, capsys):
     text = dump.read_text()
     assert text.startswith("divide n=256")
     assert "[0] n=" in text
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["gen", "--n", "10", "-o", "{missing}/x.plem"], "{missing}/x.plem"),
+    (["solve", "{inst}", "-o", "{missing}/f.pflo"], "{missing}/f.pflo"),
+    (["solve", "{inst}", "--trace", "{inst}"], "{inst}"),
+    (["solve", "{inst}", "--params", "r=24", "--trace", "{snaps}"],
+     "{snaps}/step0000_"),
+    (["solve", "{inst}", "--params", "r=24", "--divisions",
+      "{missing}/d.txt"], "{missing}/d.txt"),
+], ids=["gen-output", "solve-output", "trace-is-a-file", "trace-snapshot",
+        "divisions"])
+def test_unwritable_output_exits_2(argv, target, tmp_path, capsys):
+    inst = tmp_path / "inst.plem"
+    run(["gen", "--kind", "grid", "--n", "81", "--seed", "2",
+         "--cap-max", "9", "--sources", "3", "-o", str(inst)], capsys)
+    snaps = tmp_path / "snaps"
+    for tag in ("phase1", "phase2", "phase3"):
+        # a directory where the first snapshot file should go
+        (snaps / f"step0000_{tag}.pflo").mkdir(parents=True)
+    paths = {"inst": inst, "snaps": snaps, "missing": tmp_path / "missing"}
+    argv = [a.format(**paths) for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"cannot write {target.format(**paths)}")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "planarflow", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: planarflow")

@@ -4,6 +4,7 @@ from planarflow import (DEFAULT_ENGINE, ENGINES, FlowState,
                         check_cut_saturated, cut_from_side, flow_value,
                         is_max_preflow, max_st_flow, oracle_value,
                         parse_instance, residual_reachable)
+from planarflow.maxflow import blocking_flow
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 4 0\nsrc 0\nsnk 1\n"
 
@@ -36,6 +37,57 @@ def test_negative_limit_rejected():
     state = FlowState.from_instance(parse_instance(SINGLE_EDGE))
     with pytest.raises(ValueError):
         max_st_flow(state, 0, 1, limit=-1)
+
+
+def test_bad_arguments_rejected_with_a_dead_set():
+    state = FlowState.from_instance(parse_instance(SINGLE_EDGE))
+    with pytest.raises(ValueError):
+        max_st_flow(state, 0, 0, dead={0})
+    with pytest.raises(ValueError):
+        max_st_flow(state, 0, 1, limit=-1, dead={0})
+
+
+@pytest.mark.parametrize("limit", [None, 5])
+def test_dead_set_holds_only_vertices_cut_off_from_sink(limit, small_corpus):
+    """Whatever an engine adds to `dead` cannot reach the sink afterwards."""
+    learned = 0
+    for inst in small_corpus:
+        state = FlowState.from_instance(inst)
+        t = inst.sinks[0]
+        dead: set[int] = set()
+        for s in inst.sources:
+            while True:  # a limited push may stop short; repeat until empty
+                added = max_st_flow(state, s, t, limit=limit, dead=dead)
+                for v in dead:
+                    assert t not in residual_reachable(state, v)
+                if not added or limit is None:
+                    break
+        learned += len(dead)
+    assert learned
+
+
+def test_dead_source_skips_the_engine(small_corpus):
+    """A push from a vertex known not to reach the sink adds nothing and
+    never reaches the engine."""
+    calls = 0
+
+    def counting(state, s, t, limit=None, dead=None):
+        nonlocal calls
+        calls += 1
+        return blocking_flow(state, s, t, limit, dead)
+
+    for inst in small_corpus[:12]:
+        s, t = inst.sources[0], inst.sinks[0]
+        state = FlowState.from_instance(inst)
+        dead: set[int] = set()
+        max_st_flow(state, s, t, counting, dead=dead)
+        assert s in dead  # a maximum flow leaves s cut off from t
+        before, flow = calls, list(state.flow)
+        for v in sorted(dead):
+            assert max_st_flow(state, v, t, counting, dead=dead) == 0
+            assert max_st_flow(state, v, t, counting, limit=3, dead=dead) == 0
+        assert calls == before
+        assert state.flow == flow
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

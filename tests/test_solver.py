@@ -3,11 +3,12 @@ import random
 import pytest
 
 from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
-                        TooManySinks, divide, flow_value, grid_graph,
-                        is_max_preflow, load_fig1_fixture, oracle_value,
-                        pairwise_arbitrary_saturation, parse_instance,
-                        piece_maxflow, root_piece, sequential_saturation,
-                        solve_recursive, validate_flow)
+                        TooManySinks, divide, flow_value, generate_instance,
+                        grid_graph, is_max_preflow, load_fig1_fixture,
+                        oracle_value, pairwise_arbitrary_saturation,
+                        parse_instance, piece_maxflow, root_piece,
+                        sequential_saturation, solve_recursive,
+                        validate_flow)
 from planarflow.maxflow import blocking_flow
 from conftest import corpus
 
@@ -161,10 +162,10 @@ def test_engines_give_same_value_through_solvers(small_corpus):
     oracle value."""
     calls = 0
 
-    def counting(state, s, t, limit=None):
+    def counting(state, s, t, limit=None, dead=None):
         nonlocal calls
         calls += 1
-        return blocking_flow(state, s, t, limit)
+        return blocking_flow(state, s, t, limit, dead)
 
     for inst in small_corpus[:6]:
         want = oracle_value(inst)
@@ -173,6 +174,38 @@ def test_engines_give_same_value_through_solvers(small_corpus):
             state = solve(inst, engine=counting)
             assert calls > before
             assert flow_value(state, inst.sinks) == want
+
+
+def test_dead_sets_leave_flows_identical():
+    """Skipping vertices known not to reach a sink changes no flow: both
+    solvers match a reference engine that ignores `dead`, also with
+    several sinks, where each push loop keeps one set per sink."""
+    def reference(state, s, t, limit=None, dead=None):
+        return blocking_flow(state, s, t, limit)
+
+    params = DivisionParams(r=24)
+    for inst in corpus(30, seed0=1000, max_n=60, extra_sinks=2):
+        assert (sequential_saturation(inst).flow
+                == sequential_saturation(inst, engine=reference).flow)
+        assert (solve_recursive(inst, params).flow
+                == solve_recursive(inst, params, engine=reference).flow)
+
+
+def test_sequential_skips_sources_cut_off_from_the_sink():
+    """After the first exhausting push, sources left behind the min cut are
+    known dead and never reach the engine."""
+    calls = 0
+
+    def counting(state, s, t, limit=None, dead=None):
+        nonlocal calls
+        calls += 1
+        return blocking_flow(state, s, t, limit, dead)
+
+    inst = generate_instance("grid", 400, 0, 100, 40)
+    assert len(inst.sources) == 40 and len(inst.sinks) == 1
+    state = sequential_saturation(inst, engine=counting)
+    assert flow_value(state, inst.sinks) == oracle_value(inst)
+    assert calls < 40
 
 
 def test_cycle_canceller_fire_count_reported():
