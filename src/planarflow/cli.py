@@ -129,9 +129,10 @@ class _CliTrace(SolveTrace):
         self.division_lines.append(division_tree(division, indent=depth))
 
     def finish(self) -> None:
-        if self.divisions_path and self.division_lines:
+        """Write the division dump; it is empty when no division was made."""
+        if self.divisions_path:
             _write_file(self.divisions_path,
-                        "\n".join(self.division_lines) + "\n")
+                        "".join(line + "\n" for line in self.division_lines))
 
 
 def cmd_solve(args) -> int:
@@ -140,12 +141,12 @@ def cmd_solve(args) -> int:
     except PlanarFlowError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    params = _parse_params(args.params)
     trace = None
     if args.trace or args.divisions:
         trace = _CliTrace(args.trace, args.divisions)
     try:
         if args.algorithm == "recursive":
-            params = _parse_params(args.params)
             state = solve_recursive(inst, params, engine=args.engine, trace=trace)
         else:
             state = sequential_saturation(inst, engine=args.engine, trace=trace)

@@ -16,7 +16,6 @@ and the 2/3 balance of both sides is checked exactly before use.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .embedding import (EmbeddedGraph, build_graph, corner_dart,
@@ -138,8 +137,6 @@ def _center_root(g: EmbeddedGraph) -> int:
 def _fundamental_cycle(tg: EmbeddedGraph, e: int, parent_dart, depth):
     """Dart cycle (tree path + non-tree edge) through edge e, or None."""
     u, v = tg.edges[e]
-    if u == v:
-        return None
     up_u: list[int] = []
     up_v: list[int] = []
     x, y = u, v
@@ -442,28 +439,6 @@ def _make_subpiece(piece: Piece, kept_local, extra_boundary=()) -> Piece:
                  boundary, sources, holes, external)
 
 
-def _local_components(g: EmbeddedGraph) -> list[list[int]]:
-    comp = [-1] * g.vertex_count
-    out: list[list[int]] = []
-    for s in range(g.vertex_count):
-        if comp[s] >= 0:
-            continue
-        cid = len(out)
-        comp[s] = cid
-        bucket = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for d in g.rotations[v]:
-                w = g.head(d)
-                if comp[w] < 0:
-                    comp[w] = cid
-                    bucket.append(w)
-                    queue.append(w)
-        out.append(bucket)
-    return out
-
-
 def divide(piece: Piece, params: DivisionParams) -> Division:
     """Split a piece until every subpiece meets the three division bounds.
 
@@ -485,7 +460,7 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
     while queue:
         q = queue.pop()
         if q.graph.component_count > 1:
-            for bucket in _local_components(q.graph):
+            for bucket in q.graph.components():
                 queue.append(_make_subpiece(q, bucket))
             continue
         if q.size > max_size:

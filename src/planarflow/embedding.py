@@ -131,14 +131,23 @@ class EmbeddedGraph:
         self.faces = faces
         self.dart_face = dart_face
 
-    def _check_euler(self) -> None:
-        n, m = self.vertex_count, len(self.edges)
-        comp = [-1] * n
+    def components(self) -> list[list[int]]:
+        """Vertex lists of the connected components, each ascending, ordered
+        by smallest vertex."""
+        labels, count = self._component_labels()
+        out: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(labels):
+            out[c].append(v)
+        return out
+
+    def _component_labels(self) -> tuple[list[int], int]:
+        """Component id of every vertex, numbered from 0 by smallest vertex,
+        and the number of components."""
+        comp = [-1] * self.vertex_count
         count = 0
-        for s in range(n):
+        for s in range(self.vertex_count):
             if comp[s] >= 0:
                 continue
-            count += 1
             comp[s] = count
             stack = [s]
             while stack:
@@ -148,6 +157,12 @@ class EmbeddedGraph:
                     if comp[w] < 0:
                         comp[w] = count
                         stack.append(w)
+            count += 1
+        return comp, count
+
+    def _check_euler(self) -> None:
+        n, m = self.vertex_count, len(self.edges)
+        _, count = self._component_labels()
         self.component_count = count
         # an isolated vertex has one face the dart traversal cannot see
         isolated = sum(1 for rot in self.rotations if not rot)

@@ -15,8 +15,8 @@ such a vertex, and when a search misses `t` it adds every vertex that
 search reached. `max_st_flow` returns 0 at once for a source in `dead`.
 Augmenting towards `t` adds residual arcs only between vertices that
 already reach `t`, so a set stays valid while flow goes only to `t`;
-the solvers keep one set per sink for one push loop and clear the other
-sinks' sets whenever a push adds flow. Pruning leaves the BFS levels of
+the solvers keep one set per sink for one push loop, whose order keeps
+every set valid (see ``solver._saturate``). Pruning leaves the BFS levels of
 every vertex that reaches `t` unchanged, so the paths found, and the
 flow, are those of an engine that ignores `dead`. A callable engine may
 ignore it: it then learns nothing and nothing is skipped.

@@ -15,10 +15,12 @@ Two independent algorithms are provided:
 in a given order; it exists to demonstrate that ungrouped pair orders are
 not optimal in general.
 
-Sequential saturation and phase 2 keep, for one push loop, a set per sink
-of vertices known not to reach it (see ``maxflow``): a push from such a
+Sequential saturation, the recursion's base case and phase 2 are one
+push loop (``_saturate``). It keeps, for the loop, a set per sink of
+vertices known not to reach it (see ``maxflow``): a push from such a
 vertex returns 0 without a search, and searches towards that sink never
-enter them. The flows found are those of the same loops without the sets.
+enter them. No set is ever cleared, and the flows found are those of the
+same loop without the sets.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from .maxflow import max_st_flow
 
 
 class SolveTrace:
-    """Observer hooks for solver internals; all methods default to no-ops."""
+    """Observer hooks for solver internals; all methods default to no-ops.
+
+    ``pair_saturated`` fires after every push of the push loop, in both
+    solvers and phase 2 included, with the value it added (0 when the
+    vertex was known not to reach the sink).
+    """
 
     def pair_saturated(self, state: FlowState, source: int, sink: int,
                        value: int) -> None:
@@ -53,36 +60,35 @@ class SolveTrace:
         pass
 
 
-def _push(state: FlowState, p: int, t: int, dead: dict[int, set[int]],
-          engine, limit: int | None = None) -> int:
-    """`max_st_flow` from p to t inside one push loop.
+def _saturate(state: FlowState, vertices, sources, sinks, engine,
+              trace: SolveTrace | None) -> None:
+    """Push each vertex in `vertices`, in order, to each sink, in order.
 
-    `dead[t]` holds vertices known not to reach sink t. A push that adds
-    flow to t may open residual paths towards the other sinks, so their
-    sets are cleared; t's own set stays valid.
+    A vertex in `sources` pushes unbounded; any other pushes at most its
+    excess and stops once that is spent. `dead[t]` holds vertices known
+    not to reach sink t and is never cleared: a vertex moves on to sink
+    l+1 only once it reaches none of sinks 1..l, so each push runs wholly
+    inside or wholly outside the vertices that reach none of sinks 1..l,
+    and that set stays closed under residual arcs.
     """
-    value = max_st_flow(state, p, t, engine, limit, dead[t])
-    if value:
-        for u, known in dead.items():
-            if u != t:
-                known.clear()
-    return value
-
-
-def _saturate_sources(state: FlowState, sources, sinks, engine, trace) -> None:
     dead = {t: set() for t in sinks}
-    for s in sources:
+    for p in vertices:
+        bounded = p not in sources
         for t in sinks:
-            value = _push(state, s, t, dead, engine)
+            if bounded and state.excess[p] <= 0:
+                break
+            value = max_st_flow(state, p, t, engine,
+                                state.excess[p] if bounded else None, dead[t])
             if trace is not None:
-                trace.pair_saturated(state, s, t, value)
+                trace.pair_saturated(state, p, t, value)
 
 
 def sequential_saturation(instance: Instance, engine=None,
                           trace: SolveTrace | None = None) -> FlowState:
     """Maximum flow by exhausting sources one at a time, in the given order."""
     state = FlowState.from_instance(instance)
-    _saturate_sources(state, instance.sources, instance.sinks, engine, trace)
+    _saturate(state, instance.sources, set(instance.sources), instance.sinks,
+              engine, trace)
     return state
 
 
@@ -133,18 +139,8 @@ def piece_maxflow(piece: Piece, state: FlowState, sources, sinks,
                 trace.phase1_done(piece, sub_instance, sub_state)
 
     ordered_sinks = sorted(sink_set)
-    dead = {t: set() for t in ordered_sinks}
-    for p in sorted(piece.to_parent_vertex[v] for v in piece.boundary):
-        if p in sink_set:
-            continue
-        if p in source_set:
-            for t in ordered_sinks:
-                _push(state, p, t, dead, engine)
-        elif state.excess[p] > 0:
-            for t in ordered_sinks:
-                if state.excess[p] <= 0:
-                    break
-                _push(state, p, t, dead, engine, limit=state.excess[p])
+    boundary = {piece.to_parent_vertex[v] for v in piece.boundary} - sink_set
+    _saturate(state, sorted(boundary), source_set, ordered_sinks, engine, trace)
     if trace is not None:
         trace.phase2_done(
             Instance(state.graph, state.capacity, sorted(source_set),
@@ -162,20 +158,17 @@ def piece_maxflow(piece: Piece, state: FlowState, sources, sinks,
 
 def _solve(instance: Instance, params: DivisionParams, engine,
            trace: SolveTrace | None, depth: int = 0) -> FlowState:
-    n = instance.graph.vertex_count
-    if n <= params.r or not instance.sources:
-        state = FlowState.from_instance(instance)
-        _saturate_sources(state, instance.sources, instance.sinks, engine, trace)
-        return state
-
+    division = None
+    if instance.graph.vertex_count > params.r and instance.sources:
+        try:
+            division = divide(root_piece(instance), params)
+        except (CannotSatisfyBounds, SeparatorFailed):
+            # Degenerate small levels (many super sinks on few vertices) can
+            # defeat the bound machinery; source saturation stays correct.
+            pass
+    if division is None:
+        return sequential_saturation(instance, engine, trace)
     state = FlowState.from_instance(instance)
-    try:
-        division = divide(root_piece(instance), params)
-    except (CannotSatisfyBounds, SeparatorFailed):
-        # Degenerate small levels (many super sinks on few vertices) can
-        # defeat the bound machinery; source saturation stays correct.
-        _saturate_sources(state, instance.sources, instance.sinks, engine, trace)
-        return state
     if trace is not None:
         trace.division_made(instance, division, depth)
     for piece in division.pieces:

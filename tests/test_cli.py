@@ -116,6 +116,7 @@ def test_removed_params_key_rejected(tmp_path, capsys):
     (["solve", "{inst}", "--params", "c_p=abc"], None),
     (["solve", "{inst}", "--params", "r=1.5"], None),
     (["solve", "{inst}", "--params", "boundary_coeff=nan"], None),
+    (["solve", "{inst}", "--algorithm", "sequential", "--params", "p=2"], None),
     (["verify", "{inst}", "--params", "c_p=abc"], None),
     (["verify", "{inst}", "--params", "r=1.5"], None),
     (["verify", "{inst}", "--params", "p=2"], None),
@@ -125,7 +126,8 @@ def test_removed_params_key_rejected(tmp_path, capsys):
     (["bench", "--sizes", "1x0"], None),
     (["bench", "--sizes", "100", "--seeds", "a"], None),
     (["gen", "--n", "10"], "abc"),
-], ids=["solve-c_p", "solve-r", "solve-boundary-nan", "verify-c_p",
+], ids=["solve-c_p", "solve-r", "solve-boundary-nan", "solve-sequential-p",
+        "verify-c_p",
         "verify-r", "verify-p", "verify-r-too-small", "bench-c_p", "bench-r",
         "bench-sizes", "bench-seeds", "gen-env-seed"])
 def test_malformed_numbers_exit_2(argv, env_seed, tmp_path, capsys,
@@ -221,6 +223,19 @@ def test_divisions_dump_written(tmp_path, capsys):
     assert "[0] n=" in text
 
 
+@pytest.mark.parametrize("extra", [[], ["--algorithm", "sequential"]],
+                         ids=["n-at-most-r", "sequential"])
+def test_divisions_dump_empty_without_a_division(extra, tmp_path, capsys):
+    plem = tmp_path / "inst.plem"
+    run(["gen", "--kind", "grid", "--n", "49", "--seed", "4",
+         "--cap-max", "9", "--sources", "3", "-o", str(plem)], capsys)
+    dump = tmp_path / "divisions.txt"
+    code, _, _ = run(["solve", str(plem), "--divisions", str(dump), *extra],
+                     capsys)
+    assert code == 0
+    assert dump.read_text() == ""
+
+
 @pytest.mark.parametrize("argv, target", [
     (["gen", "--n", "10", "-o", "{missing}/x.plem"], "{missing}/x.plem"),
     (["solve", "{inst}", "-o", "{missing}/f.pflo"], "{missing}/f.pflo"),
@@ -229,8 +244,10 @@ def test_divisions_dump_written(tmp_path, capsys):
      "{snaps}/step0000_"),
     (["solve", "{inst}", "--params", "r=24", "--divisions",
       "{missing}/d.txt"], "{missing}/d.txt"),
+    (["solve", "{inst}", "--algorithm", "sequential", "--divisions",
+      "{missing}/d.txt"], "{missing}/d.txt"),
 ], ids=["gen-output", "solve-output", "trace-is-a-file", "trace-snapshot",
-        "divisions"])
+        "divisions", "divisions-sequential"])
 def test_unwritable_output_exits_2(argv, target, tmp_path, capsys):
     inst = tmp_path / "inst.plem"
     run(["gen", "--kind", "grid", "--n", "81", "--seed", "2",

@@ -9,7 +9,9 @@ from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
                         parse_instance, piece_maxflow, root_piece,
                         sequential_saturation, solve_recursive,
                         validate_flow)
-from planarflow.maxflow import blocking_flow
+from planarflow import solver
+from planarflow.errors import CannotSatisfyBounds, SeparatorFailed
+from planarflow.maxflow import blocking_flow, residual_reachable
 from conftest import corpus
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 9 0\nsrc 0\nsnk 1\n"
@@ -206,6 +208,81 @@ def test_sequential_skips_sources_cut_off_from_the_sink():
     state = sequential_saturation(inst, engine=counting)
     assert flow_value(state, inst.sinks) == oracle_value(inst)
     assert calls < 40
+
+
+def _solve_both(inst, engine, trace=None):
+    sequential_saturation(inst, engine=engine, trace=trace)
+    solve_recursive(inst, DivisionParams(r=24), engine=engine, trace=trace)
+
+
+def test_no_vertex_is_searched_again_towards_a_sink():
+    """A dead set is never cleared: once a push loop has found that a
+    vertex cannot reach a sink, it never searches from it towards that
+    sink again. Each vertex moves on to the next sink only once it cannot
+    reach the current one; this pins that loop order."""
+    ever: dict[int, tuple[set[int], set[int]]] = {}
+
+    def engine(state, s, t, limit=None, dead=None):
+        # the strong reference keeps id(dead) from being reused
+        _, held = ever.setdefault(id(dead), (dead, set()))
+        held |= dead
+        assert s not in held, f"vertex {s} searched again towards {t}"
+        value = blocking_flow(state, s, t, limit, dead)
+        held |= dead
+        return value
+
+    for inst in corpus(30, seed0=1000, max_n=60, extra_sinks=2):
+        _solve_both(inst, engine)
+
+
+def test_dead_sets_stay_true_through_the_push_loop():
+    """After every engine call, no vertex of any dead set of the running
+    push loop reaches that set's sink, the other sinks' sets included."""
+    loops: dict[int, tuple[FlowState, dict[int, tuple[set[int], int]]]] = {}
+
+    def engine(state, s, t, limit=None, dead=None):
+        value = blocking_flow(state, s, t, limit, dead)
+        _, sets = loops.setdefault(id(state), (state, {}))
+        sets[id(dead)] = (dead, t)
+        for known, sink in sets.values():
+            reached: set[int] = set()
+            for v in known:
+                if v not in reached:
+                    reached |= residual_reachable(state, v)
+            assert sink not in reached, f"a vertex known dead reaches {sink}"
+        return value
+
+    class EndOfLoop(SolveTrace):
+        def phase2_done(self, instance, state):
+            # phases 1 and 3 of the next piece change this state freely
+            loops.pop(id(state), None)
+
+    for inst in corpus(30, seed0=1000, max_n=60, extra_sinks=2):
+        _solve_both(inst, engine, EndOfLoop())
+        loops.clear()
+
+
+def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
+    """When `divide` cannot meet the bounds, `_solve` saturates the level's
+    sources instead; the flow stays maximum and valid."""
+    fallbacks = 0
+    divide_level = solver.divide
+
+    def counting_divide(piece, params):
+        nonlocal fallbacks
+        try:
+            return divide_level(piece, params)
+        except (CannotSatisfyBounds, SeparatorFailed):
+            fallbacks += 1
+            raise
+
+    monkeypatch.setattr(solver, "divide", counting_divide)
+    params = DivisionParams(r=12, boundary_coeff=1.0)
+    for inst in corpus(20, seed0=0, max_n=150, extra_sinks=2):
+        state = solve_recursive(inst, params)
+        assert flow_value(state, inst.sinks) == oracle_value(inst)
+        assert validate_flow(inst, state) == []
+    assert fallbacks
 
 
 def test_cycle_canceller_fire_count_reported():
