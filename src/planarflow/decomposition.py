@@ -7,15 +7,18 @@ holes for boundary vertices not lying on any such face). Divisions split
 a piece with balanced cycle separators until every subpiece satisfies the
 size, boundary and hole bounds.
 
-Separators are fundamental cycles of a BFS tree in a chord-triangulated
-scratch copy: candidates are ranked by dual-tree subtree weights, the two
-sides of a candidate come from the dual subtree under its non-tree edge,
-and the 2/3 balance of both sides is checked exactly before use.
+Separators are fundamental cycles of a BFS tree in a scratch copy whose
+faces are fanned into triangles in one pass and one graph build. The copy
+may have parallel edges, so a fundamental cycle may have two darts.
+Candidates are ranked by dual-tree subtree weights, the two sides of a
+candidate come from the dual subtree under its non-tree edge, and the 2/3
+balance of both sides is checked exactly before use.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .embedding import (EmbeddedGraph, build_graph, corner_dart,
@@ -28,81 +31,46 @@ from .formats import Instance
 
 
 def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
-    """Chord-triangulated scratch copy; vertex ids are preserved.
+    """Fan-triangulated scratch copy in one graph build; ids are preserved.
 
-    Faces longer than three darts are fan-triangulated. Chords that would
-    duplicate an edge or form a loop are skipped, so each fan probes a few
-    anchor corners and keeps the least blocked one; remaining oversized
-    faces are retried in further rounds until no chord can be added.
-    Separator quality is verified downstream, never assumed.
+    Every face walk longer than three darts is fanned from its first corner
+    whose vertex occurs once on the walk. Such a corner exists: a vertex
+    with two corners on a face is a cut vertex of the face's boundary, and
+    every leaf block of that boundary has a vertex that is not. So no chord
+    is a loop, though a chord may run parallel to an edge: the separator
+    needs every face to be a triangle, not the copy to be simple. `g.edges`
+    is a prefix of the result's edges; `g` itself is returned when every
+    face is already a triangle.
     """
-    for _ in range(16):
-        g2, added = _fan_round(g)
-        g = g2
-        if not added:
-            return g
-    return g
-
-
-def _fan_round(g: EmbeddedGraph) -> tuple[EmbeddedGraph, int]:
     edges = list(g.edges)
-    present = set()
-    for u, v in edges:
-        present.add((u, v) if u < v else (v, u))
-    insert_after: dict[int, list[int]] = {}
-    added = 0
-
+    insert_after: dict[int, list[int]] = {}  # dart -> chord darts after it
     for walk in g.faces:
         k = len(walk)
         if k <= 3:
             continue
         heads = [g.head(d) for d in walk]
-        counts: dict[int, int] = {}
-        for h in heads:
-            counts[h] = counts.get(h, 0) + 1
-        # probe a few anchors; fanning from a corner whose chords already
-        # exist (e.g. the twin side of an already-fanned cycle) adds nothing
-        order = sorted(range(k), key=lambda j: (counts[heads[j]] > 1, j))
-        best, best_blocked = order[0], None
-        for j in order[: min(8, k)]:
-            u = heads[j]
-            blocked = 0
-            for step in range(2, k - 1):
-                v = heads[(j + step) % k]
-                if v == u or (min(u, v), max(u, v)) in present:
-                    blocked += 1
-            if best_blocked is None or blocked < best_blocked:
-                best, best_blocked = j, blocked
-            if blocked == 0:
-                break
-        w = walk[best + 1:] + walk[: best + 1]  # anchor corner now last
-        u = g.head(w[-1])
-        at_anchor: list[int] = []
-        for i in range(2, k - 1):
-            v = g.head(w[i - 1])
-            key = (u, v) if u < v else (v, u)
-            if v == u or key in present:
-                continue
-            present.add(key)
+        counts = Counter(heads)
+        j = next(j for j, h in enumerate(heads) if counts[h] == 1)
+        w = walk[j + 1:] + walk[: j + 1]  # anchor corner now last
+        u = heads[j]
+        at_anchor = []
+        for d in w[1:k - 2]:
             e = len(edges)
-            edges.append((u, v))
-            added += 1
+            edges.append((u, g.head(d)))
             at_anchor.append(2 * e)
-            insert_after.setdefault(w[i - 1] ^ 1, []).append(2 * e + 1)
-        if at_anchor:
-            insert_after.setdefault(w[-1] ^ 1, []).extend(reversed(at_anchor))
+            insert_after[d ^ 1] = [2 * e + 1]
+        insert_after[w[-1] ^ 1] = at_anchor[::-1]
 
-    if not added:
-        return g, 0
+    if not insert_after:
+        return g
     rotations = []
     for v in range(g.vertex_count):
         rot = []
         for d in g.rotations[v]:
             rot.append(d)
-            if d in insert_after:
-                rot.extend(insert_after[d])
+            rot.extend(insert_after.get(d, ()))
         rotations.append(rot)
-    return build_graph(g.vertex_count, edges, rotations), added
+    return build_graph(g.vertex_count, edges, rotations)
 
 
 # -- separator ----------------------------------------------------------------
@@ -135,7 +103,10 @@ def _center_root(g: EmbeddedGraph) -> int:
 
 
 def _fundamental_cycle(tg: EmbeddedGraph, e: int, parent_dart, depth):
-    """Dart cycle (tree path + non-tree edge) through edge e, or None."""
+    """Dart cycle (tree path + non-tree edge) through edge e.
+
+    It has two darts when e runs parallel to a tree edge.
+    """
     u, v = tg.edges[e]
     up_u: list[int] = []
     up_v: list[int] = []
@@ -159,8 +130,6 @@ def _fundamental_cycle(tg: EmbeddedGraph, e: int, parent_dart, depth):
     cyc = [d for d in reversed(up_u)]
     cyc.append(2 * e)  # dart u->v
     cyc.extend(d ^ 1 for d in up_v)
-    if len(cyc) < 3:
-        return None
     return cyc
 
 
@@ -228,8 +197,6 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
     fallback = None
     for e in ranked:
         cyc = _fundamental_cycle(tg, e, parent_dart, depth)
-        if cyc is None:
-            continue
         inside = [False] * fcount
         stack = [below[e]]
         while stack:
@@ -260,7 +227,13 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
 
 
 def cycle_separator(g: EmbeddedGraph, weights: list[int] | None = None) -> list[int]:
-    """Simple cycle whose removal leaves no side heavier than 2/3 of total."""
+    """Vertices of a simple cycle whose removal leaves no side heavier than
+    2/3 of the total weight.
+
+    The cycle lies in the fan-triangulated copy of `g`: consecutive
+    vertices are joined by an edge or a chord, and two vertices joined by
+    parallel edges form a cycle.
+    """
     if weights is None:
         weights = [1] * g.vertex_count
     cycle, _, _ = _separate(g, weights)
@@ -396,20 +369,23 @@ def _compute_holes(graph: EmbeddedGraph, to_parent_dart, parent: EmbeddedGraph,
         covered.update(h.anchors)
     if external:
         covered.update(external.anchors)
-    holes = list(entries)
-    for v in sorted(boundary - covered):
-        if graph.rotations[v]:
-            fid = min(graph.dart_face[d] for d in graph.rotations[v])
-            holes.append(Hole(fid, (v,), degenerate=True))
-    return holes, external
+    return entries + _degenerate_holes(graph, boundary - covered), external
+
+
+def _degenerate_holes(graph: EmbeddedGraph, vertices) -> list[Hole]:
+    """One single-vertex hole per non-isolated vertex, in ascending order,
+    on the lowest-numbered face around it."""
+    return [Hole(min(graph.dart_face[d] for d in graph.rotations[v]), (v,),
+                 degenerate=True)
+            for v in sorted(vertices) if graph.rotations[v]]
 
 
 def root_piece(instance: Instance) -> Piece:
     """The whole level graph viewed as a piece: sinks become boundary
-    vertices, each defining a degenerate hole."""
+    vertices, each defining a degenerate hole. Every face is inherited, so
+    there is no other hole and no external face."""
     g = instance.graph
     boundary = frozenset(instance.sinks)
-    holes, external = _compute_holes(g, lambda d: d, g, boundary)
     return Piece(
         graph=g,
         parent=g,
@@ -417,8 +393,7 @@ def root_piece(instance: Instance) -> Piece:
         to_parent_edge=list(range(g.edge_count)),
         boundary=boundary,
         sources=frozenset(instance.sources),
-        holes=holes,
-        external=external,
+        holes=_degenerate_holes(g, boundary),
     )
 
 

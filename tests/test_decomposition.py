@@ -11,6 +11,7 @@ from planarflow import (DivisionParams, Instance, InvalidParams,
                         induced_subgraph, insert_vertices_in_faces, root_piece,
                         stacked_triangulation, triangulate)
 from planarflow.embedding import corner_dart
+from conftest import corpus
 
 
 def unit_instance(graph, sources=(0,), sinks=None):
@@ -64,6 +65,96 @@ def test_triangulate_fills_simple_faces(build):
     assert tg.edges[: g.edge_count] == g.edges
     assert all(len(f) == 3 for f in tg.faces)
     assert tg.vertex_count - tg.edge_count + len(tg.faces) == 2
+
+
+def _keep_edges(g, keep):
+    """Spanning subgraph with the edges in `keep`, inheriting the embedding."""
+    keep = sorted(keep)
+    index = {e: i for i, e in enumerate(keep)}
+    rotations = [[2 * index[d >> 1] | (d & 1) for d in rot if d >> 1 in index]
+                 for rot in g.rotations]
+    return build_graph(g.vertex_count, [g.edges[e] for e in keep], rotations)
+
+
+def _tree_edges(g):
+    parent_dart, _, _ = dec._bfs_tree(g, 0)
+    return {d >> 1 for d in parent_dart if d >= 0}
+
+
+def _spanning_tree(g):
+    return _keep_edges(g, _tree_edges(g))
+
+
+def _edge_deleted(g, seed):
+    """`g` with a random half of the edges off a spanning tree deleted."""
+    tree = _tree_edges(g)
+    rest = [e for e in range(g.edge_count) if e not in tree]
+    kept = random.Random(seed).sample(rest, len(rest) // 2)
+    return _keep_edges(g, tree | set(kept))
+
+
+def _with_parallel_edges(g, seed, count):
+    """`g` with `count` extra copies of random edges, each beside its edge."""
+    rng = random.Random(seed)
+    edges = list(g.edges)
+    rotations = [list(rot) for rot in g.rotations]
+    for _ in range(count):
+        e = rng.randrange(g.edge_count)
+        u, v = g.edges[e]
+        new = len(edges)
+        edges.append((u, v))
+        rotations[u].insert(rotations[u].index(2 * e) + 1, 2 * new)
+        rotations[v].insert(rotations[v].index(2 * e + 1), 2 * new + 1)
+    return build_graph(g.vertex_count, edges, rotations)
+
+
+def _star(k):
+    edges = [(0, i) for i in range(1, k + 1)]
+    rotations = [[2 * e for e in range(k)]] + [[2 * e + 1] for e in range(k)]
+    return build_graph(k + 1, edges, rotations)
+
+
+def _path(k):
+    edges = [(i, i + 1) for i in range(k - 1)]
+    rotations = [[0]] + [[2 * i - 1, 2 * i] for i in range(1, k - 1)] + [
+        [2 * k - 3]]
+    return build_graph(k, edges, rotations)
+
+
+def _divided_pieces():
+    inst = unit_instance(grid_graph(16, 16))
+    return [p.graph for p in divide(root_piece(inst), DivisionParams(r=32)).pieces]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: [_spanning_tree(stacked_triangulation(200, random.Random(0)))],
+    lambda: [_star(12)],
+    lambda: [_path(9)],
+    lambda: [_cycle_graph(40)],
+    lambda: [_with_parallel_edges(grid_graph(8, 8), 1, 30)],
+    lambda: [stacked_triangulation(50, random.Random(1))],
+    _divided_pieces,
+], ids=["tree", "star", "path", "cycle-40", "grid-parallel", "triangulation",
+        "divided-pieces"])
+def test_triangulate_builds_one_graph_without_loops(build, monkeypatch):
+    builds = 0
+    init = dec.EmbeddedGraph.__init__
+
+    def counting_init(self, *args):
+        nonlocal builds
+        builds += 1
+        init(self, *args)
+
+    monkeypatch.setattr(dec.EmbeddedGraph, "__init__", counting_init)
+    for g in build():
+        builds = 0
+        tg = triangulate(g)
+        long_faces = any(len(f) > 3 for f in g.faces)
+        assert builds == (1 if long_faces else 0)
+        assert long_faces or tg is g
+        assert all(len(f) <= 3 for f in tg.faces)
+        assert all(u != v for u, v in tg.edges)
+        assert tg.edges[: g.edge_count] == g.edges
 
 
 def test_triangulate_handles_piece_subgraphs():
@@ -121,8 +212,14 @@ def _cycle_graph(k):
      None),
     (lambda: _cycle_graph(40), None),
     (lambda: grid_graph(2, 30), _skewed_strip_weights),
+    (lambda: _spanning_tree(stacked_triangulation(200, random.Random(0))),
+     None),
+    (lambda: _edge_deleted(stacked_triangulation(200, random.Random(2)), 3),
+     None),
+    (lambda: _with_parallel_edges(grid_graph(10, 10), 4, 40), None),
 ], ids=["grid-12x12", "triangulation-200", "grid-piece", "cycle-40",
-        "strip-skewed"])
+        "strip-skewed", "triangulation-200-tree", "triangulation-200-sparse",
+        "grid-parallel"])
 def test_separator_sides_partition_and_split(build, weigh):
     g = build()
     weights = weigh() if weigh else [1] * g.vertex_count
@@ -145,6 +242,17 @@ def test_root_piece_marks_sinks_as_degenerate_holes():
     assert len(piece.holes) == 2
     assert all(h.degenerate for h in piece.holes)
     assert piece.external is None
+
+
+def test_root_piece_holes_match_the_face_walk():
+    # every face of a level graph is its own, so walking the faces finds
+    # only the sinks' degenerate holes
+    for inst in corpus(30, seed0=500, max_n=150, extra_sinks=2):
+        g = inst.graph
+        piece = root_piece(inst)
+        holes, external = dec._compute_holes(g, lambda d: d, g, piece.boundary)
+        assert piece.holes == holes
+        assert piece.external is external is None
 
 
 def test_divide_rejects_small_pieces():

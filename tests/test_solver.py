@@ -285,6 +285,28 @@ def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
     assert fallbacks
 
 
+@pytest.mark.parametrize("r", [12, 24])
+def test_division_never_falls_back_with_default_bounds(monkeypatch, r):
+    """With the default boundary coefficient every level divides: a worse
+    separator would otherwise show only as a silent drop to saturation."""
+    failures = []
+    divide_level = solver.divide
+
+    def recording_divide(piece, params):
+        try:
+            return divide_level(piece, params)
+        except (CannotSatisfyBounds, SeparatorFailed) as exc:
+            failures.append(f"piece of size {piece.size}: {exc}")
+            raise
+
+    monkeypatch.setattr(solver, "divide", recording_divide)
+    for inst in corpus(40, seed0=0, max_n=150, extra_sinks=2):
+        state = solve_recursive(inst, DivisionParams(r=r))
+        assert flow_value(state, inst.sinks) == oracle_value(inst)
+        assert validate_flow(inst, state) == []
+    assert failures == []
+
+
 def test_cycle_canceller_fire_count_reported():
     """The conversion keeps a cycle canceller in the pipeline; this reports
     how often it actually fires across a corpus (no pass/fail threshold)."""
