@@ -6,20 +6,34 @@ optional `limit` caps that increment: each augmenting path's bottleneck
 is clamped to what is left of the limit, and the engine returns as soon
 as the limit is reached. This is how the solver pushes a vertex's excess
 on towards a sink. The one named engine is blocking-flow augmentation
-(level graph + DFS); callers may also pass any callable with the same
-signature, which must produce identical values (flows may differ).
+(Dinic); callers may also pass any callable with the same signature,
+which must produce identical values (flows may differ).
 
-An engine also takes `dead`, a set of vertices known not to reach `t`
-in the current residual graph. Blocking-flow augmentation never enters
-such a vertex, and when a search misses `t` it adds every vertex that
-search reached. `max_st_flow` returns 0 at once for a source in `dead`.
-Augmenting towards `t` adds residual arcs only between vertices that
-already reach `t`, so a set stays valid while flow goes only to `t`;
-the solvers keep one set per sink for one push loop, whose order keeps
-every set valid (see ``solver._saturate``). Pruning leaves the BFS levels of
-every vertex that reaches `t` unchanged, so the paths found, and the
-flow, are those of an engine that ignores `dead`. A callable engine may
-ignore it: it then learns nothing and nothing is skipped.
+The levels of this Dinic are measured *to* the sink. `SinkLabels(t)`
+holds `dist`, the residual distance of every vertex to `t` found by one
+reverse BFS from `t` (``n``, the vertex count, where `t` is
+unreachable), one current-arc pointer per vertex and a `stale` flag.
+The engine searches from `s` only along admissible arcs, residual
+darts on which `dist` falls by 1, and relabels when the search from `s`
+is blocked, until `dist[s]` is infinite. Augmenting along admissible
+arcs adds only arcs on which `dist` rises, so the labels stay valid
+lower bounds, a dead end stays dead and no skipped arc becomes
+admissible. That holds for the next source pushing into `t` too, so one
+`SinkLabels` serves every push into `t` of a push loop, and a vertex
+whose label is infinite and not stale is *dead* for `t`: it cannot reach
+`t`, and `max_st_flow` returns 0 for it without calling the engine. A
+push into another sink adds arcs the labels do not know of; the caller
+then sets `stale`, and the engine relabels before it searches.
+
+The flows are those of the textbook forward-level Dinic, arc for arc.
+With valid lower-bound labels every admissible `s`-`t` path has exactly
+`dist[s]` arcs, so one is found only when `dist[s]` is the true
+distance, and then the admissible arcs that lead to `t` are exactly the
+arcs of shortest `s`-`t` paths: those through which a forward level
+graph from `s` reaches `t`. The search scans each rotation in the same
+order and retreats from the same dead ends, so it finds the same paths
+in the same order. A callable engine may ignore `labels`; then nothing
+is shared and nothing is skipped.
 
 `max_st_flow` returns the value only. A caller that wants the min cut
 takes the residual-reachability side after the flow is maximum:
@@ -33,81 +47,106 @@ from typing import Callable
 
 from .flowstate import FlowState
 
-Engine = Callable[[FlowState, int, int, int | None, set[int] | None], int]
+
+class SinkLabels:
+    """Distance labels towards sink `t`, shared by the pushes into it."""
+
+    __slots__ = ("t", "dist", "ptr", "stale")
+
+    def __init__(self, t: int):
+        self.t = t
+        self.dist: list[int] | None = None
+        self.ptr: list[int] | None = None
+        self.stale = False
+
+    def relabel(self, state: FlowState) -> None:
+        """Exact residual distances to `t` by one reverse BFS; resets the
+        current-arc pointers and clears `stale`."""
+        g = state.graph
+        rot = g.rotations
+        tails = g.dart_tails
+        cap = state.capacity
+        flow = state.flow
+        n = g.vertex_count
+        dist = [n] * n
+        dist[self.t] = 0
+        reached = [self.t]
+        for w in reached:  # the list grows behind the loop: a FIFO queue
+            nxt = dist[w] + 1
+            for d in rot[w]:
+                r = d ^ 1  # the dart into w
+                if cap[r] - flow[r] + flow[d] > 0:
+                    u = tails[r]
+                    if dist[u] == n:
+                        dist[u] = nxt
+                        reached.append(u)
+        self.dist = dist
+        self.ptr = [0] * n
+        self.stale = False
+
+
+Engine = Callable[[FlowState, int, int, int | None, SinkLabels | None], int]
 
 
 def blocking_flow(state: FlowState, s: int, t: int,
                   limit: int | None = None,
-                  dead: set[int] | None = None) -> int:
-    """Dinic-style engine: repeat BFS level graphs + DFS blocking flows.
-
-    The BFS never enters a vertex of `dead`; a BFS that misses `t` adds
-    every vertex it reached to `dead`.
-    """
+                  labels: SinkLabels | None = None) -> int:
+    """Dinic with levels measured to `t`: augment along admissible arcs,
+    relabel when the search from `s` is blocked, stop once `s` cannot
+    reach `t` or `limit` is met. Without `labels` it builds its own."""
+    if limit == 0:
+        return 0
+    if labels is None:
+        labels = SinkLabels(t)
+    if labels.dist is None or labels.stale:
+        labels.relabel(state)
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
     cap = state.capacity
     flow = state.flow
     n = g.vertex_count
-    # level -1 marks an unvisited vertex, -2 one the BFS must not enter
-    unvisited = [-1] * n
-    for v in dead or ():
-        unvisited[v] = -2
+    dist = labels.dist
+    ptr = labels.ptr
     total = 0
-    while total != limit:
-        level = unvisited[:]
-        level[s] = 0
-        reached = [s]
-        for v in reached:  # the list grows behind the loop: a FIFO queue
-            nxt = level[v] + 1
-            for d in rot[v]:
-                if cap[d] - flow[d] + flow[d ^ 1] > 0:
-                    w = tails[d ^ 1]
-                    if level[w] == -1:
-                        level[w] = nxt
-                        reached.append(w)
-        if level[t] < 0:
-            if dead is not None:
-                dead.update(reached)
-            return total
-        ptr = [0] * n
-        path: list[int] = []
-        v = s
-        while True:
-            if v == t:
-                bottleneck = min(cap[d] - flow[d] + flow[d ^ 1] for d in path)
-                if limit is not None:
-                    bottleneck = min(bottleneck, limit - total)
-                for d in path:
-                    state.push(d, bottleneck)
-                total += bottleneck
-                if total == limit:
-                    return total
-                for idx, d in enumerate(path):
-                    if cap[d] - flow[d] + flow[d ^ 1] == 0:
-                        del path[idx:]
-                        v = tails[d]
-                        break
-                continue
-            rv = rot[v]
-            advanced = False
-            while ptr[v] < len(rv):
-                d = rv[ptr[v]]
-                if cap[d] - flow[d] + flow[d ^ 1] > 0:
-                    w = tails[d ^ 1]
-                    if level[w] == level[v] + 1:
-                        path.append(d)
-                        v = w
-                        advanced = True
-                        break
-                ptr[v] += 1
-            if not advanced:
-                if v == s:
+    path: list[int] = []
+    v = s
+    while dist[s] < n:
+        if v == t:
+            bottleneck = min(cap[d] - flow[d] + flow[d ^ 1] for d in path)
+            if limit is not None:
+                bottleneck = min(bottleneck, limit - total)
+            for d in path:
+                state.push(d, bottleneck)
+            total += bottleneck
+            if total == limit:
+                break
+            for idx, d in enumerate(path):
+                if cap[d] - flow[d] + flow[d ^ 1] == 0:
+                    del path[idx:]
+                    v = tails[d]
                     break
-                d = path.pop()
-                v = tails[d]
-                ptr[v] += 1
+            continue
+        rv = rot[v]
+        want = dist[v] - 1
+        i = ptr[v]
+        while i < len(rv):
+            d = rv[i]
+            if dist[tails[d ^ 1]] == want and cap[d] - flow[d] + flow[d ^ 1] > 0:
+                break
+            i += 1
+        ptr[v] = i
+        if i < len(rv):
+            path.append(d)
+            v = tails[d ^ 1]
+        elif v == s:
+            labels.relabel(state)
+            dist = labels.dist
+            ptr = labels.ptr
+        else:
+            d = path.pop()
+            v = tails[d]
+            ptr[v] += 1
     return total
 
 
@@ -145,18 +184,23 @@ def residual_reachable(state: FlowState, source: int) -> set[int]:
 def max_st_flow(state: FlowState, s: int, t: int,
                 engine: str | Engine | None = None,
                 limit: int | None = None,
-                dead: set[int] | None = None) -> int:
+                labels: SinkLabels | None = None) -> int:
     """Augment `state` by a maximum s-t flow; returns the value added.
 
     With `limit`, at most that many units are added, so the return value
-    is ``min(limit, residual max-flow value s -> t)``. `dead` is a set of
-    vertices known not to reach `t`; the engine may add to it, and a
-    source in it returns 0 without calling the engine.
+    is ``min(limit, residual max-flow value s -> t)``. `labels` are the
+    `SinkLabels` of `t` shared with earlier pushes into `t`; a source
+    whose label is infinite and not stale returns 0 without calling the
+    engine.
     """
     if s == t:
         raise ValueError("source and sink must differ")
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    if dead is not None and s in dead:
-        return 0
-    return _resolve(engine)(state, s, t, limit, dead)
+    if labels is not None:
+        if labels.t != t:
+            raise ValueError(f"labels of sink {labels.t} used for sink {t}")
+        if (not labels.stale and labels.dist is not None
+                and labels.dist[s] == len(labels.dist)):
+            return 0
+    return _resolve(engine)(state, s, t, limit, labels)

@@ -16,11 +16,13 @@ in a given order; it exists to demonstrate that ungrouped pair orders are
 not optimal in general.
 
 Sequential saturation, the recursion's base case and phase 2 are one
-push loop (``_saturate``). It keeps, for the loop, a set per sink of
-vertices known not to reach it (see ``maxflow``): a push from such a
-vertex returns 0 without a search, and searches towards that sink never
-enter them. No set is ever cleared, and the flows found are those of the
-same loop without the sets.
+push loop (``_saturate``). It keeps, for the loop, one ``SinkLabels`` per
+sink (see ``maxflow``): distances to that sink from one reverse BFS,
+shared by every push into it and redone only when a push is blocked. A
+push from a vertex whose label is infinite returns 0 without a search.
+A push that adds flow into one sink marks every other sink's labels
+stale, so they are recomputed before they are used again. The flows
+found are those of the same loop with a fresh Dinic search per push.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .decomposition import (DivisionParams, Piece, attach_super_sinks, divide,
 from .errors import CannotSatisfyBounds, SeparatorFailed, TooManySinks
 from .flowstate import FlowState, cancel_flow_cycles, drain_excess, flow_value
 from .formats import Instance
-from .maxflow import max_st_flow
+from .maxflow import SinkLabels, max_st_flow
 
 
 class SolveTrace:
@@ -38,7 +40,7 @@ class SolveTrace:
 
     ``pair_saturated`` fires after every push of the push loop, in both
     solvers and phase 2 included, with the value it added (0 when the
-    vertex was known not to reach the sink).
+    vertex's label showed it cannot reach the sink).
     """
 
     def pair_saturated(self, state: FlowState, source: int, sink: int,
@@ -65,20 +67,22 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
     """Push each vertex in `vertices`, in order, to each sink, in order.
 
     A vertex in `sources` pushes unbounded; any other pushes at most its
-    excess and stops once that is spent. `dead[t]` holds vertices known
-    not to reach sink t and is never cleared: a vertex moves on to sink
-    l+1 only once it reaches none of sinks 1..l, so each push runs wholly
-    inside or wholly outside the vertices that reach none of sinks 1..l,
-    and that set stays closed under residual arcs.
+    excess and stops once that is spent. `labels[t]` serves every push
+    into sink t. A push that adds flow into t adds residual arcs that the
+    other sinks' labels do not account for, so it marks them stale.
     """
-    dead = {t: set() for t in sinks}
+    labels = {t: SinkLabels(t) for t in sinks}
     for p in vertices:
         bounded = p not in sources
         for t in sinks:
             if bounded and state.excess[p] <= 0:
                 break
             value = max_st_flow(state, p, t, engine,
-                                state.excess[p] if bounded else None, dead[t])
+                                state.excess[p] if bounded else None, labels[t])
+            if value:
+                for other in labels.values():
+                    if other.t != t:
+                        other.stale = True
             if trace is not None:
                 trace.pair_saturated(state, p, t, value)
 

@@ -30,6 +30,21 @@ def corpus(count: int, seed0: int = 0, max_n: int = 120, cap_max: int = 100,
     return out
 
 
+def reaching(state, t: int) -> set[int]:
+    """All vertices from which `t` is reachable along residual darts."""
+    g = state.graph
+    seen = {t}
+    stack = [t]
+    while stack:
+        w = stack.pop()
+        for d in g.rotations[w]:
+            u = g.head(d)
+            if u not in seen and state.residual(d ^ 1) > 0:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
 def relabel(inst: Instance, rng: random.Random) -> Instance:
     """Apply a random vertex permutation; dart ids stay fixed."""
     from planarflow import build_graph

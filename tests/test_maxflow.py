@@ -4,7 +4,8 @@ from planarflow import (DEFAULT_ENGINE, ENGINES, FlowState,
                         check_cut_saturated, cut_from_side, flow_value,
                         is_max_preflow, max_st_flow, oracle_value,
                         parse_instance, residual_reachable)
-from planarflow.maxflow import blocking_flow
+from planarflow.maxflow import SinkLabels, blocking_flow
+from conftest import reaching
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 4 0\nsrc 0\nsnk 1\n"
 
@@ -40,26 +41,36 @@ def test_negative_limit_rejected():
 
 
 def test_bad_arguments_rejected_with_a_dead_set():
+    """Bad arguments fail also when labels, whose infinite entries are the
+    dead set, are given; so do labels of another sink."""
     state = FlowState.from_instance(parse_instance(SINGLE_EDGE))
     with pytest.raises(ValueError):
-        max_st_flow(state, 0, 0, dead={0})
+        max_st_flow(state, 0, 0, labels=SinkLabels(0))
     with pytest.raises(ValueError):
-        max_st_flow(state, 0, 1, limit=-1, dead={0})
+        max_st_flow(state, 0, 1, limit=-1, labels=SinkLabels(1))
+    with pytest.raises(ValueError):
+        max_st_flow(state, 0, 1, labels=SinkLabels(0))
 
 
 @pytest.mark.parametrize("limit", [None, 5])
 def test_dead_set_holds_only_vertices_cut_off_from_sink(limit, small_corpus):
-    """Whatever an engine adds to `dead` cannot reach the sink afterwards."""
+    """Labels shared by all pushes into one sink: every vertex whose label
+    is infinite (dead) cannot reach the sink after each push, and every
+    push that ends short of its limit leaves its source dead."""
     learned = 0
     for inst in small_corpus:
         state = FlowState.from_instance(inst)
         t = inst.sinks[0]
-        dead: set[int] = set()
+        n = inst.graph.vertex_count
+        labels = SinkLabels(t)
         for s in inst.sources:
             while True:  # a limited push may stop short; repeat until empty
-                added = max_st_flow(state, s, t, limit=limit, dead=dead)
-                for v in dead:
-                    assert t not in residual_reachable(state, v)
+                added = max_st_flow(state, s, t, limit=limit, labels=labels)
+                dead = {v for v in range(n) if labels.dist[v] == n}
+                assert not labels.stale
+                assert not dead & reaching(state, t)
+                if added != limit:
+                    assert s in dead
                 if not added or limit is None:
                     break
         learned += len(dead)
@@ -67,27 +78,33 @@ def test_dead_set_holds_only_vertices_cut_off_from_sink(limit, small_corpus):
 
 
 def test_dead_source_skips_the_engine(small_corpus):
-    """A push from a vertex known not to reach the sink adds nothing and
-    never reaches the engine."""
+    """A push from a vertex whose label is infinite and not stale adds
+    nothing and never reaches the engine; stale labels are searched
+    with only after a relabel."""
     calls = 0
 
-    def counting(state, s, t, limit=None, dead=None):
+    def counting(state, s, t, limit=None, labels=None):
         nonlocal calls
         calls += 1
-        return blocking_flow(state, s, t, limit, dead)
+        return blocking_flow(state, s, t, limit, labels)
 
     for inst in small_corpus[:12]:
         s, t = inst.sources[0], inst.sinks[0]
+        n = inst.graph.vertex_count
         state = FlowState.from_instance(inst)
-        dead: set[int] = set()
-        max_st_flow(state, s, t, counting, dead=dead)
-        assert s in dead  # a maximum flow leaves s cut off from t
+        labels = SinkLabels(t)
+        max_st_flow(state, s, t, counting, labels=labels)
+        assert labels.dist[s] == n  # a maximum flow leaves s cut off from t
         before, flow = calls, list(state.flow)
-        for v in sorted(dead):
-            assert max_st_flow(state, v, t, counting, dead=dead) == 0
-            assert max_st_flow(state, v, t, counting, limit=3, dead=dead) == 0
+        dead = [v for v in range(n) if labels.dist[v] == n]
+        for v in dead:
+            assert max_st_flow(state, v, t, counting, labels=labels) == 0
+            assert max_st_flow(state, v, t, counting, limit=3, labels=labels) == 0
         assert calls == before
         assert state.flow == flow
+        labels.stale = True
+        assert max_st_flow(state, s, t, counting, labels=labels) == 0
+        assert calls == before + 1 and not labels.stale
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -11,8 +11,8 @@ from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
                         validate_flow)
 from planarflow import solver
 from planarflow.errors import CannotSatisfyBounds, SeparatorFailed
-from planarflow.maxflow import blocking_flow, residual_reachable
-from conftest import corpus
+from planarflow.maxflow import SinkLabels, blocking_flow
+from conftest import corpus, reaching
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 9 0\nsrc 0\nsnk 1\n"
 
@@ -164,10 +164,10 @@ def test_engines_give_same_value_through_solvers(small_corpus):
     oracle value."""
     calls = 0
 
-    def counting(state, s, t, limit=None, dead=None):
+    def counting(state, s, t, limit=None, labels=None):
         nonlocal calls
         calls += 1
-        return blocking_flow(state, s, t, limit, dead)
+        return blocking_flow(state, s, t, limit, labels)
 
     for inst in small_corpus[:6]:
         want = oracle_value(inst)
@@ -178,19 +178,73 @@ def test_engines_give_same_value_through_solvers(small_corpus):
             assert flow_value(state, inst.sinks) == want
 
 
-def test_dead_sets_leave_flows_identical():
-    """Skipping vertices known not to reach a sink changes no flow: both
-    solvers match a reference engine that ignores `dead`, also with
-    several sinks, where each push loop keeps one set per sink."""
-    def reference(state, s, t, limit=None, dead=None):
-        return blocking_flow(state, s, t, limit)
+def _reference(state, s, t, limit=None, labels=None):
+    """A fresh Dinic search per push: ignores the shared labels."""
+    return blocking_flow(state, s, t, limit)
 
+
+def test_dead_sets_leave_flows_identical():
+    """Sharing labels across pushes changes no flow: both solvers match
+    a reference engine that ignores `labels`, also with several sinks,
+    where each push loop keeps one label object per sink."""
     params = DivisionParams(r=24)
     for inst in corpus(30, seed0=1000, max_n=60, extra_sinks=2):
         assert (sequential_saturation(inst).flow
-                == sequential_saturation(inst, engine=reference).flow)
+                == sequential_saturation(inst, engine=_reference).flow)
         assert (solve_recursive(inst, params).flow
-                == solve_recursive(inst, params, engine=reference).flow)
+                == solve_recursive(inst, params, engine=_reference).flow)
+
+
+def _with_zero_and_big_darts(inst, seed):
+    """The instance with about 15% of darts at capacity 0 (one-way arcs)
+    and 5% at 10^12."""
+    rng = random.Random(seed)
+    caps = []
+    for c in inst.capacities:
+        x = rng.random()
+        caps.append(0 if x < 0.15 else 10 ** 12 if x < 0.2 else c)
+    return Instance(inst.graph, caps, inst.sources, inst.sinks)
+
+
+@pytest.mark.parametrize("seed0", [3000, 3100, 3200])
+def test_shared_labels_match_reference_on_one_way_and_big_arcs(seed0):
+    """Both solvers, several sinks, one-way arcs and huge capacities: the
+    flow equals the reference engine's dart for dart, has the oracle
+    value and is valid."""
+    for i, base in enumerate(corpus(12, seed0=seed0, max_n=200,
+                                    extra_sinks=2)):
+        inst = _with_zero_and_big_darts(base, seed0 + i)
+        want = oracle_value(inst)
+        for solve, args in ((sequential_saturation, ()),
+                            (solve_recursive, (DivisionParams(r=12),)),
+                            (solve_recursive, (DivisionParams(r=24),))):
+            state = solve(inst, *args)
+            assert state.flow == solve(inst, *args, engine=_reference).flow
+            assert flow_value(state, inst.sinks) == want
+            assert validate_flow(inst, state) == []
+
+
+def test_stale_labels_are_recomputed():
+    """A push into one sink can let a vertex reach another sink that its
+    label called unreachable. Trusting such a stale label loses flow on
+    this instance (391 of 414)."""
+    rng = random.Random(15150)
+    kind = rng.choice(["grid", "triangulation"])
+    n = rng.randint(8, 40)
+    k = rng.randint(1, 6)
+    inst = generate_instance(kind, n, 15150, rng.choice([3, 10, 100]), k)
+    non_terminals = [v for v in range(inst.graph.vertex_count)
+                     if v not in inst.sources and v not in inst.sinks]
+    extra = rng.sample(non_terminals,
+                       min(len(non_terminals), rng.randint(1, 4)))
+    caps = [0 if rng.random() <= 0.3 else c for c in inst.capacities]
+    inst = Instance(inst.graph, caps, inst.sources, inst.sinks + extra)
+    assert (kind, inst.graph.vertex_count) == ("triangulation", 38)
+    assert len(inst.sources) == 4 and len(inst.sinks) == 4
+    assert oracle_value(inst) == 414
+    state = solve_recursive(inst, DivisionParams(r=12))
+    assert flow_value(state, inst.sinks) == 414
+    assert validate_flow(inst, state) == []
 
 
 def test_sequential_skips_sources_cut_off_from_the_sink():
@@ -198,10 +252,10 @@ def test_sequential_skips_sources_cut_off_from_the_sink():
     known dead and never reach the engine."""
     calls = 0
 
-    def counting(state, s, t, limit=None, dead=None):
+    def counting(state, s, t, limit=None, labels=None):
         nonlocal calls
         calls += 1
-        return blocking_flow(state, s, t, limit, dead)
+        return blocking_flow(state, s, t, limit, labels)
 
     inst = generate_instance("grid", 400, 0, 100, 40)
     assert len(inst.sources) == 40 and len(inst.sinks) == 1
@@ -210,56 +264,98 @@ def test_sequential_skips_sources_cut_off_from_the_sink():
     assert calls < 40
 
 
+def test_sequential_shares_reverse_searches_across_pushes(monkeypatch):
+    """One reverse search from the sink serves many pushes into it."""
+    relabels = 0
+    relabel = SinkLabels.relabel
+
+    def counting_relabel(self, state):
+        nonlocal relabels
+        relabels += 1
+        relabel(self, state)
+
+    class Pushes(SolveTrace):
+        count = 0
+
+        def pair_saturated(self, state, source, sink, value):
+            self.count += 1
+
+    monkeypatch.setattr(SinkLabels, "relabel", counting_relabel)
+    inst = generate_instance("grid", 400, 0, 100, 40)
+    pushes = Pushes()
+    state = sequential_saturation(inst, trace=pushes)
+    assert flow_value(state, inst.sinks) == oracle_value(inst)
+    assert pushes.count == 40
+    assert 0 < relabels < pushes.count
+
+
 def _solve_both(inst, engine, trace=None):
     sequential_saturation(inst, engine=engine, trace=trace)
     solve_recursive(inst, DivisionParams(r=24), engine=engine, trace=trace)
 
 
 def test_no_vertex_is_searched_again_towards_a_sink():
-    """A dead set is never cleared: once a push loop has found that a
-    vertex cannot reach a sink, it never searches from it towards that
-    sink again. Each vertex moves on to the next sink only once it cannot
-    reach the current one; this pins that loop order."""
-    ever: dict[int, tuple[set[int], set[int]]] = {}
+    """Within one push loop the engine is called at most once per vertex
+    and sink, never for a vertex whose label towards that sink is
+    infinite and not stale, and each call ends with the limit met or the
+    vertex's label infinite. Each vertex moves on to the next sink only
+    once it cannot reach the current one; this pins that loop order."""
+    searched: dict[int, tuple[SinkLabels, set[int]]] = {}
 
-    def engine(state, s, t, limit=None, dead=None):
-        # the strong reference keeps id(dead) from being reused
-        _, held = ever.setdefault(id(dead), (dead, set()))
-        held |= dead
-        assert s not in held, f"vertex {s} searched again towards {t}"
-        value = blocking_flow(state, s, t, limit, dead)
-        held |= dead
+    def engine(state, s, t, limit=None, labels=None):
+        # the strong reference keeps id(labels) from being reused
+        _, sources = searched.setdefault(id(labels), (labels, set()))
+        assert s not in sources, f"vertex {s} searched again towards {t}"
+        sources.add(s)
+        n = state.graph.vertex_count
+        if labels.dist is not None and not labels.stale:
+            assert labels.dist[s] < n, f"dead vertex {s} searched towards {t}"
+        value = blocking_flow(state, s, t, limit, labels)
+        assert value == limit or labels.dist[s] == n
         return value
 
     for inst in corpus(30, seed0=1000, max_n=60, extra_sinks=2):
         _solve_both(inst, engine)
+    assert searched
 
 
 def test_dead_sets_stay_true_through_the_push_loop():
-    """After every engine call, no vertex of any dead set of the running
-    push loop reaches that set's sink, the other sinks' sets included."""
-    loops: dict[int, tuple[FlowState, dict[int, tuple[set[int], int]]]] = {}
+    """After every push, no vertex whose label is infinite and not stale
+    reaches that label's sink, the other sinks' labels of the running
+    push loop included."""
+    loops: dict[int, tuple[FlowState, dict[int, SinkLabels]]] = {}
 
-    def engine(state, s, t, limit=None, dead=None):
-        value = blocking_flow(state, s, t, limit, dead)
-        _, sets = loops.setdefault(id(state), (state, {}))
-        sets[id(dead)] = (dead, t)
-        for known, sink in sets.values():
-            reached: set[int] = set()
-            for v in known:
-                if v not in reached:
-                    reached |= residual_reachable(state, v)
-            assert sink not in reached, f"a vertex known dead reaches {sink}"
-        return value
+    def check(state, loop):
+        n = state.graph.vertex_count
+        for labels in loop:
+            if labels.dist is None or labels.stale:
+                continue
+            dead = {v for v in range(n) if labels.dist[v] == n}
+            assert not dead & reaching(state, labels.t), \
+                f"a vertex known dead reaches {labels.t}"
 
-    class EndOfLoop(SolveTrace):
+    def engine(state, s, t, limit=None, labels=None):
+        _, loop = loops.setdefault(id(state), (state, {}))
+        loop[id(labels)] = labels
+        return blocking_flow(state, s, t, limit, labels)
+
+    class AfterEveryPush(SolveTrace):
+        checked = 0
+
+        def pair_saturated(self, state, source, sink, value):
+            if id(state) in loops:
+                check(state, loops[id(state)][1].values())
+                self.checked += 1
+
         def phase2_done(self, instance, state):
             # phases 1 and 3 of the next piece change this state freely
             loops.pop(id(state), None)
 
+    trace = AfterEveryPush()
     for inst in corpus(30, seed0=1000, max_n=60, extra_sinks=2):
-        _solve_both(inst, engine, EndOfLoop())
+        _solve_both(inst, engine, trace)
         loops.clear()
+    assert trace.checked
 
 
 def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
