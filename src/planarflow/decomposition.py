@@ -5,7 +5,10 @@ vertices shared with other pieces or marked terminal) and its holes (the
 faces not inherited from the level graph, plus degenerate single-vertex
 holes for boundary vertices not lying on any such face). Divisions split
 a piece with balanced cycle separators until every subpiece satisfies the
-size, boundary and hole bounds.
+size, boundary and hole bounds. A side of a separator that is disconnected
+is split into its components before any subgraph is built, and holes are
+computed only for pieces within the size and boundary bounds, so every
+finished piece has them.
 
 Separators are fundamental cycles of a BFS tree in a scratch copy whose
 faces are fanned into triangles in one pass and one graph build. The copy
@@ -42,21 +45,24 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
     is a prefix of the result's edges; `g` itself is returned when every
     face is already a triangle.
     """
+    tails = g.dart_tails
     edges = list(g.edges)
     insert_after: dict[int, list[int]] = {}  # dart -> chord darts after it
     for walk in g.faces:
         k = len(walk)
         if k <= 3:
             continue
-        heads = [g.head(d) for d in walk]
-        counts = Counter(heads)
-        j = next(j for j, h in enumerate(heads) if counts[h] == 1)
+        heads = [tails[d ^ 1] for d in walk]
+        j = 0
+        if len(set(heads)) < k:
+            counts = Counter(heads)
+            j = next(j for j, h in enumerate(heads) if counts[h] == 1)
         w = walk[j + 1:] + walk[: j + 1]  # anchor corner now last
         u = heads[j]
         at_anchor = []
         for d in w[1:k - 2]:
             e = len(edges)
-            edges.append((u, g.head(d)))
+            edges.append((u, tails[d ^ 1]))
             at_anchor.append(2 * e)
             insert_after[d ^ 1] = [2 * e + 1]
         insert_after[w[-1] ^ 1] = at_anchor[::-1]
@@ -78,13 +84,14 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
 
 def _bfs_tree(g: EmbeddedGraph, root: int):
     """BFS parent darts, depths and visit order from `root`."""
+    tails, rotations = g.dart_tails, g.rotations
     parent_dart = [-1] * g.vertex_count
     depth = [-1] * g.vertex_count
     depth[root] = 0
     order = [root]
     for v in order:
-        for d in g.rotations[v]:
-            w = g.head(d)
+        for d in rotations[v]:
+            w = tails[d ^ 1]
             if depth[w] < 0:
                 depth[w] = depth[v] + 1
                 parent_dart[w] = d
@@ -189,13 +196,15 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
             subtree[f] += subtree[c]
 
     half = total / 2.0
-    ranked = sorted(below, key=lambda e: (abs(subtree[below[e]] - half), e))
+
+    def rank(e):
+        return (abs(subtree[below[e]] - half), e)
 
     # Prefer balanced candidates that leave vertices on both sides: a split
     # that recreates the whole piece makes no division progress. Cycle-only
     # graphs still get served by the empty-side fallback.
     fallback = None
-    for e in ranked:
+    for e in _by_rank(below, rank):
         cyc = _fundamental_cycle(tg, e, parent_dart, depth)
         inside = [False] * fcount
         stack = [below[e]]
@@ -223,7 +232,14 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
     if fallback is not None:
         return fallback
     raise SeparatorFailed(
-        f"no balanced fundamental cycle among {len(ranked)} candidates")
+        f"no balanced fundamental cycle among {len(below)} candidates")
+
+
+def _by_rank(candidates, rank):
+    """`candidates` in ascending rank, sorted only once the best is rejected."""
+    best = min(candidates, key=rank)
+    yield best
+    yield from sorted(candidates, key=rank)[1:]
 
 
 def cycle_separator(g: EmbeddedGraph, weights: list[int] | None = None) -> list[int]:
@@ -339,20 +355,18 @@ def _compute_holes(graph: EmbeddedGraph, to_parent_dart, parent: EmbeddedGraph,
                    boundary: frozenset[int]):
     """Holes of a piece: non-inherited faces carrying boundary vertices,
     plus degenerate holes for boundary vertices not covered by them."""
+    up = [to_parent_dart(d) for d in range(graph.dart_count)]
+    rot_next, parent_rot_next = graph._rot_next, parent._rot_next
+    tails = graph.dart_tails
     entries: list[Hole] = []
     for fid, walk in enumerate(graph.faces):
-        inherited = True
-        for d in walk:
-            if parent.next_face_dart(to_parent_dart(d)) != to_parent_dart(
-                    graph.next_face_dart(d)):
-                inherited = False
-                break
-        if inherited:
+        # a face is inherited when each step of its walk is a parent step
+        if all(parent_rot_next[up[d] ^ 1] == up[rot_next[d ^ 1]] for d in walk):
             continue
         anchors = []
         seen = set()
         for d in walk:
-            h = graph.head(d)
+            h = tails[d ^ 1]
             if h in boundary and h not in seen:
                 seen.add(h)
                 anchors.append(h)
@@ -398,6 +412,9 @@ def root_piece(instance: Instance) -> Piece:
 
 
 def _make_subpiece(piece: Piece, kept_local, extra_boundary=()) -> Piece:
+    """Subpiece induced by `kept_local`, without holes: `divide` computes
+    them once the subpiece meets the size and boundary bounds. Every
+    `extra_boundary` vertex must be kept."""
     sub = induced_subgraph(piece.graph, kept_local)
     to_parent_vertex = [piece.to_parent_vertex[v] for v in sub.to_parent_vertex]
     to_parent_edge = [piece.to_parent_edge[e] for e in sub.to_parent_edge]
@@ -405,13 +422,31 @@ def _make_subpiece(piece: Piece, kept_local, extra_boundary=()) -> Piece:
     boundary = frozenset(
         idx[v] for v in set(extra_boundary) | (set(piece.boundary) & idx.keys()))
     sources = frozenset(idx[v] for v in piece.sources if v in idx)
-
-    def to_root_dart(d: int) -> int:
-        return 2 * to_parent_edge[d >> 1] | (d & 1)
-
-    holes, external = _compute_holes(sub.graph, to_root_dart, piece.parent, boundary)
     return Piece(sub.graph, piece.parent, to_parent_vertex, to_parent_edge,
-                 boundary, sources, holes, external)
+                 boundary, sources)
+
+
+def _components_within(g: EmbeddedGraph, kept) -> list[list[int]]:
+    """Vertex lists of the components of the subgraph of `g` induced by
+    `kept`, ordered by smallest vertex."""
+    tails, rotations = g.dart_tails, g.rotations
+    unseen = [False] * g.vertex_count
+    for v in kept:
+        unseen[v] = True
+    out = []
+    for s in range(g.vertex_count):
+        if not unseen[s]:
+            continue
+        unseen[s] = False
+        comp = [s]
+        for v in comp:
+            for d in rotations[v]:
+                w = tails[d ^ 1]
+                if unseen[w]:
+                    unseen[w] = False
+                    comp.append(w)
+        out.append(comp)
+    return out
 
 
 def divide(piece: Piece, params: DivisionParams) -> Division:
@@ -420,6 +455,10 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
     Splits target the first violated criterion in the cyclic order (size,
     boundary, holes), weighting the separator accordingly: unit weights,
     weight on boundary vertices, or weight on one representative per hole.
+    Each side of a separator (with the cycle) is split into its connected
+    components before any graph is built, so every queued subpiece is
+    connected. Holes are computed only for subpieces within the size and
+    boundary bounds, which every finished piece is.
     """
     n0 = piece.size
     if n0 <= params.r:
@@ -444,13 +483,15 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
             weights = [0] * q.size
             for v in q.boundary:
                 weights[v] = 1
-        elif len(q.holes) > hole_bound:
+        else:
+            q.holes, q.external = _compute_holes(
+                q.graph, q.to_parent_dart, q.parent, q.boundary)
+            if len(q.holes) <= hole_bound:
+                finished.append(q)
+                continue
             weights = [0] * q.size
             for h in q.holes:
                 weights[h.anchors[0]] += 1
-        else:
-            finished.append(q)
-            continue
 
         if budget == 0:
             raise CannotSatisfyBounds(
@@ -458,14 +499,17 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
         budget -= 1
         cycle, side_a, side_b = _separate(q.graph, weights)
         separators.append([q.to_parent_vertex[v] for v in cycle])
+        on_cycle = set(cycle)
         for side in (side_a, side_b):
-            sub = _make_subpiece(q, set(side) | set(cycle), extra_boundary=cycle)
-            if sub.size >= q.size:
+            kept = on_cycle.union(side)
+            if len(kept) >= q.size:
                 raise CannotSatisfyBounds(
                     "separator made no progress on a piece "
                     f"of size {q.size} (cycle {len(cycle)}, sides "
                     f"{len(side_a)}/{len(side_b)})")
-            queue.append(sub)
+            for comp in _components_within(q.graph, kept):
+                queue.append(_make_subpiece(
+                    q, comp, extra_boundary=on_cycle.intersection(comp)))
 
     finished.sort(key=lambda pc: min(pc.to_parent_vertex))
     return Division(piece, finished, separators)

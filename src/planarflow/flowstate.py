@@ -183,8 +183,9 @@ def cancel_flow_cycles(state: FlowState) -> FlowState:
     """Remove directed cycles of flow until the support graph is acyclic.
 
     Per-vertex excess and the flow into any sink set are unchanged. The
-    number of cancelled cycles accumulates in ``state.cancelled_cycles``
-    (expected to stay zero on the solver's main path).
+    number of cancelled cycles accumulates in ``state.cancelled_cycles``.
+    On the recursive solver's main path it is not zero: superposing the
+    flows of several pieces creates occasional cycles.
     """
     while True:
         cycle = _find_support_cycle(state)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import deque
@@ -413,3 +414,80 @@ def test_boundary_ratio_bounded_across_scales():
         assert ratio <= params.boundary_coeff
     print(f"[report] max boundary/sqrt(size) per grid: {rows} "
           f"(configured coefficient {params.boundary_coeff})")
+
+
+# -- division identity and work ------------------------------------------
+
+
+def _with_extra_sinks(inst, count, seed):
+    rng = random.Random(f"extra-sinks:{seed}")
+    taken = set(inst.sources) | set(inst.sinks)
+    free = [v for v in range(inst.graph.vertex_count) if v not in taken]
+    return Instance(inst.graph, inst.capacities, inst.sources,
+                    sorted(inst.sinks + rng.sample(free, count)))
+
+
+def _division_digest(division):
+    def hole(h):
+        return None if h is None else (h.face, h.anchors, h.degenerate)
+
+    pieces = [(p.to_parent_vertex, p.to_parent_edge, sorted(p.boundary),
+               sorted(p.sources), [hole(h) for h in p.holes], hole(p.external))
+              for p in division.pieces]
+    text = repr((pieces, division.separators))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: generate_instance("grid", 900, 0, 100, 4),
+     "c7883da224efa19817c1d9dcb044d40ff9e6d724119a669e8bf98e1f84238f5e"),
+    (lambda: generate_instance("grid", 2000, 0, 100, 200),
+     "fee5e114977ffbe63781c1ba3a9a1d8950193616cfaa9639e3cc88bd697275ed"),
+    (lambda: _with_extra_sinks(
+        generate_instance("triangulation", 1000, 0, 100, 32), 4, 0),
+     "44e73d73448b1fe84e12b6a6aa0ce6c9d0644f3078d6db231b107ee27e3b64bd"),
+], ids=["grid-900", "grid-2000", "tri-1000-5-sinks"])
+def test_division_pieces_are_pinned(build, digest):
+    """Every finished piece and separator of one division, hashed, so a
+    change to how `divide` works cannot change what it returns."""
+    division = divide(root_piece(build()), DivisionParams())
+    assert _division_digest(division) == digest
+
+
+def test_divide_builds_each_side_once_and_walks_finished_holes(monkeypatch):
+    """One divide of a 900-vertex grid builds 3 triangulated scratch copies
+    and 9 subpieces, each connected, and walks holes once per finished
+    piece."""
+    builds = 0
+    init = dec.EmbeddedGraph.__init__
+
+    def counting_init(self, *args):
+        nonlocal builds
+        builds += 1
+        init(self, *args)
+
+    hole_walks = 0
+    compute_holes = dec._compute_holes
+
+    def counting_holes(*args):
+        nonlocal hole_walks
+        hole_walks += 1
+        return compute_holes(*args)
+
+    queued: list[bool] = []
+    make_subpiece = dec._make_subpiece
+
+    def recording_subpiece(*args, **kwargs):
+        sub = make_subpiece(*args, **kwargs)
+        queued.append(sub.graph.connected)
+        return sub
+
+    piece = root_piece(generate_instance("grid", 900, 0, 100, 4))
+    monkeypatch.setattr(dec.EmbeddedGraph, "__init__", counting_init)
+    monkeypatch.setattr(dec, "_compute_holes", counting_holes)
+    monkeypatch.setattr(dec, "_make_subpiece", recording_subpiece)
+    division = divide(piece, DivisionParams())
+    assert len(division.pieces) == 7
+    assert builds == 12
+    assert hole_walks == len(division.pieces)
+    assert queued and all(queued)
