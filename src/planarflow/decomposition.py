@@ -5,8 +5,9 @@ vertices shared with other pieces or marked terminal) and its holes (the
 faces not inherited from the level graph, plus degenerate single-vertex
 holes for boundary vertices not lying on any such face). Divisions split
 a piece with balanced cycle separators until every subpiece satisfies the
-size, boundary and hole bounds. A side of a separator that is disconnected
-is split into its components before any subgraph is built, and holes are
+size, boundary and hole bounds. A disconnected root piece, or side of a
+separator, is split into its components before any subgraph is built
+(subpieces of a connected piece stay connected), and holes are
 computed only for pieces within the size and boundary bounds, so every
 finished piece has them.
 
@@ -455,10 +456,11 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
     Splits target the first violated criterion in the cyclic order (size,
     boundary, holes), weighting the separator accordingly: unit weights,
     weight on boundary vertices, or weight on one representative per hole.
-    Each side of a separator (with the cycle) is split into its connected
-    components before any graph is built, so every queued subpiece is
-    connected. Holes are computed only for subpieces within the size and
-    boundary bounds, which every finished piece is.
+    A disconnected input piece is split into its components first, and
+    each side of a separator (with the cycle) before any graph is built,
+    so every queued subpiece is connected. Holes are computed only for
+    subpieces within the size and boundary bounds, which every finished
+    piece is.
     """
     n0 = piece.size
     if n0 <= params.r:
@@ -468,15 +470,14 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
     hole_bound = params.hole_bound
 
     queue = [piece]
+    if piece.graph.component_count > 1:
+        queue = [_make_subpiece(piece, comp)
+                 for comp in _components_within(piece.graph, range(n0))]
     finished: list[Piece] = []
     separators: list[list[int]] = []
     budget = 64 + 16 * n0.bit_length()
     while queue:
         q = queue.pop()
-        if q.graph.component_count > 1:
-            for bucket in q.graph.components():
-                queue.append(_make_subpiece(q, bucket))
-            continue
         if q.size > max_size:
             weights = [1] * q.size
         elif len(q.boundary) > max_boundary:

@@ -131,39 +131,28 @@ class EmbeddedGraph:
         self.faces = faces
         self.dart_face = dart_face
 
-    def components(self) -> list[list[int]]:
-        """Vertex lists of the connected components, each ascending, ordered
-        by smallest vertex."""
-        labels, count = self._component_labels()
-        out: list[list[int]] = [[] for _ in range(count)]
-        for v, c in enumerate(labels):
-            out[c].append(v)
-        return out
-
-    def _component_labels(self) -> tuple[list[int], int]:
-        """Component id of every vertex, numbered from 0 by smallest vertex,
-        and the number of components."""
-        comp = [-1] * self.vertex_count
+    def _count_components(self) -> int:
+        """Number of connected components, isolated vertices included."""
+        seen = [False] * self.vertex_count
         count = 0
         for s in range(self.vertex_count):
-            if comp[s] >= 0:
+            if seen[s]:
                 continue
-            comp[s] = count
+            seen[s] = True
             stack = [s]
             while stack:
                 v = stack.pop()
                 for d in self.rotations[v]:
                     w = self.dart_tails[d ^ 1]
-                    if comp[w] < 0:
-                        comp[w] = count
+                    if not seen[w]:
+                        seen[w] = True
                         stack.append(w)
             count += 1
-        return comp, count
+        return count
 
     def _check_euler(self) -> None:
         n, m = self.vertex_count, len(self.edges)
-        _, count = self._component_labels()
-        self.component_count = count
+        count = self.component_count = self._count_components()
         # an isolated vertex has one face the dart traversal cannot see
         isolated = sum(1 for rot in self.rotations if not rot)
         if n - m + len(self.faces) + isolated != 2 * count:

@@ -135,106 +135,102 @@ def is_max_preflow(state: FlowState, sources, sinks):
 
 # -- preflow-to-flow conversion -------------------------------------------
 
-
-def _find_support_cycle(state: FlowState) -> list[int] | None:
-    """One directed cycle of positive-flow darts, or None if support is acyclic."""
-    g = state.graph
-    n = g.vertex_count
-    color = [0] * n     # 0 unseen, 1 on current DFS path, 2 done
-    enter = [-1] * n    # dart used to reach a path vertex
-    for root in range(n):
-        if color[root]:
-            continue
-        color[root] = 1
-        stack = [(root, 0)]
-        while stack:
-            v, i = stack[-1]
-            rot = g.rotations[v]
-            moved = False
-            while i < len(rot):
-                d = rot[i]
-                i += 1
-                if state.flow[d] <= 0:
-                    continue
-                w = g.head(d)
-                if color[w] == 1:
-                    cyc = [d]
-                    x = v
-                    while x != w:
-                        pd = enter[x]
-                        cyc.append(pd)
-                        x = g.tail(pd)
-                    cyc.reverse()
-                    return cyc
-                if color[w] == 0:
-                    stack[-1] = (v, i)
-                    color[w] = 1
-                    enter[w] = d
-                    stack.append((w, 0))
-                    moved = True
-                    break
-            if not moved:
-                color[v] = 2
-                stack.pop()
-    return None
+_UNSEEN, _FINISHED = -1, -2  # DFS marks; a vertex on the stack holds its index
 
 
-def cancel_flow_cycles(state: FlowState) -> FlowState:
-    """Remove directed cycles of flow until the support graph is acyclic.
+def cancel_flow_cycles(state: FlowState) -> list[int]:
+    """Cancel every directed cycle of positive-flow darts; return the
+    vertices in the order one DFS over those darts finished them.
+
+    When a dart closes a cycle with the DFS path, the cycle is cancelled
+    by its smallest flow. The DFS then backs up to the tail of the first
+    cycle dart the cancel emptied, marks the vertices it popped unseen and
+    resumes there. Cancelling only lowers flow, so the support only
+    shrinks and a finished vertex still reaches no cycle: the cycles
+    cancelled, in order, are those of a DFS restarted at vertex 0 after
+    every cancel. Every vertex finishes after all vertices its flow
+    reaches, which is the order `drain_excess` walks.
 
     Per-vertex excess and the flow into any sink set are unchanged. The
     number of cancelled cycles accumulates in ``state.cancelled_cycles``.
     On the recursive solver's main path it is not zero: superposing the
-    flows of several pieces creates occasional cycles.
-    """
-    while True:
-        cycle = _find_support_cycle(state)
-        if cycle is None:
-            return state
-        bottleneck = min(state.flow[d] for d in cycle)
-        for d in cycle:
-            state.push(d ^ 1, bottleneck)
-        state.cancelled_cycles += 1
-
-
-def drain_excess(state: FlowState, sources, sinks) -> FlowState:
-    """Turn an acyclic preflow into a flow by returning stranded excess.
-
-    Vertices are processed in reverse topological order of the flow's
-    support graph; at each non-terminal vertex with positive excess the
-    incoming flow is reduced (fixed dart order) until the vertex conserves.
-    Raises CyclicSupport if the support graph still contains a cycle.
+    flows of several pieces creates cycles.
     """
     g = state.graph
-    n = g.vertex_count
-    indeg = [0] * n
-    for d, f in enumerate(state.flow):
-        if f > 0:
-            indeg[g.head(d)] += 1
-    order = [v for v in range(n) if indeg[v] == 0]
-    queue = deque(order)
-    while queue:
-        v = queue.popleft()
-        for d in g.rotations[v]:
-            if state.flow[d] > 0:
-                w = g.head(d)
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-                    queue.append(w)
-    if len(order) != n:
-        raise CyclicSupport("flow support graph contains a cycle")
-
-    skip = set(sources) | set(sinks)
-    for v in reversed(order):
-        if v in skip or state.excess[v] <= 0:
+    rot = g.rotations
+    tails = g.dart_tails
+    flow = state.flow
+    place = [_UNSEEN] * g.vertex_count
+    finished: list[int] = []
+    for root in range(g.vertex_count):
+        if place[root] != _UNSEEN:
             continue
-        for out in g.rotations[v]:
+        place[root] = 0
+        stack = [[root, 0, -1]]  # vertex, next rotation index, dart into it
+        while stack:
+            top = stack[-1]
+            v, i = top[0], top[1]
+            rv = rot[v]
+            while i < len(rv):
+                d = rv[i]
+                i += 1
+                if flow[d] > 0 and place[tails[d ^ 1]] != _FINISHED:
+                    break
+            else:
+                place[v] = _FINISHED
+                finished.append(v)
+                stack.pop()
+                continue
+            top[1] = i
+            w = tails[d ^ 1]
+            k = place[w]
+            if k == _UNSEEN:
+                place[w] = len(stack)
+                stack.append([w, 0, d])
+                continue
+            cycle = [frame[2] for frame in stack[k + 1:]] + [d]  # w -> v -> w
+            amount = min(flow[c] for c in cycle)
+            for c in cycle:
+                state.push(c ^ 1, amount)
+            state.cancelled_cycles += 1
+            cut = k + next(j for j, c in enumerate(cycle) if not flow[c])
+            for frame in stack[cut + 1:]:
+                place[frame[0]] = _UNSEEN
+            del stack[cut + 1:]
+    return finished
+
+
+def drain_excess(state: FlowState, sources, sinks, order) -> FlowState:
+    """Turn an acyclic preflow into a flow by returning stranded excess.
+
+    `order` lists every vertex after all vertices its flow reaches, as
+    `cancel_flow_cycles` returns it. Walking it, each non-terminal vertex
+    with positive excess reduces its incoming flow (fixed dart order)
+    until it conserves. Its excess is then its own plus what its
+    successors returned, and darts into it change only now, so every such
+    order gives the same flow. Raises CyclicSupport if a vertex comes
+    before one its flow reaches, as it must when the support has a cycle.
+    """
+    g = state.graph
+    rot = g.rotations
+    tails = g.dart_tails
+    flow = state.flow
+    excess = state.excess
+    skip = set(sources) | set(sinks)
+    walked = [False] * g.vertex_count
+    for v in order:
+        rv = rot[v]
+        for d in rv:
+            if flow[d] > 0 and not walked[tails[d ^ 1]]:
+                raise CyclicSupport(
+                    f"vertex {v} comes before {tails[d ^ 1]}, which its flow reaches")
+        walked[v] = True
+        if v in skip or excess[v] <= 0:
+            continue
+        for out in rv:
             din = out ^ 1  # dart arriving at v
-            if state.flow[din] > 0:
-                dec = min(state.flow[din], state.excess[v])
-                if dec > 0:
-                    state.push(out, dec)
-                if state.excess[v] <= 0:
+            if flow[din] > 0:
+                state.push(out, min(flow[din], excess[v]))
+                if excess[v] <= 0:
                     break
     return state

@@ -12,18 +12,19 @@ which must produce identical values (flows may differ).
 The levels of this Dinic are measured *to* the sink. `SinkLabels(t)`
 holds `dist`, the residual distance of every vertex to `t` found by one
 reverse BFS from `t` (``n``, the vertex count, where `t` is
-unreachable), one current-arc pointer per vertex and a `stale` flag.
-The engine searches from `s` only along admissible arcs, residual
-darts on which `dist` falls by 1, and relabels when the search from `s`
-is blocked, until `dist[s]` is infinite. Augmenting along admissible
-arcs adds only arcs on which `dist` rises, so the labels stay valid
-lower bounds, a dead end stays dead and no skipped arc becomes
-admissible. That holds for the next source pushing into `t` too, so one
-`SinkLabels` serves every push into `t` of a push loop, and a vertex
-whose label is infinite and not stale is *dead* for `t`: it cannot reach
-`t`, and `max_st_flow` returns 0 for it without calling the engine. A
-push into another sink adds arcs the labels do not know of; the caller
-then sets `stale`, and the engine relabels before it searches.
+unreachable), and one current-arc pointer per vertex; `dist` is None
+until the first search and after a caller discards the labels. The
+engine searches from `s` only along admissible arcs, residual darts on
+which `dist` falls by 1, and relabels when the search from `s` is
+blocked, until `dist[s]` is infinite. Augmenting along admissible arcs
+adds only arcs on which `dist` rises, so the labels stay valid lower
+bounds, a dead end stays dead and no skipped arc becomes admissible.
+That holds for the next source pushing into `t` too, so one `SinkLabels`
+serves every push into `t` of a push loop, and a vertex whose label is
+infinite is *dead* for `t`: it cannot reach `t`, and `max_st_flow`
+returns 0 for it without calling the engine. A push into another sink
+may add arcs the labels do not know of; the caller then sets `dist` to
+None, and the engine relabels before it searches.
 
 The flows are those of the textbook forward-level Dinic, arc for arc.
 With valid lower-bound labels every admissible `s`-`t` path has exactly
@@ -51,17 +52,16 @@ from .flowstate import FlowState
 class SinkLabels:
     """Distance labels towards sink `t`, shared by the pushes into it."""
 
-    __slots__ = ("t", "dist", "ptr", "stale")
+    __slots__ = ("t", "dist", "ptr")
 
     def __init__(self, t: int):
         self.t = t
         self.dist: list[int] | None = None
         self.ptr: list[int] | None = None
-        self.stale = False
 
     def relabel(self, state: FlowState) -> None:
         """Exact residual distances to `t` by one reverse BFS; resets the
-        current-arc pointers and clears `stale`."""
+        current-arc pointers."""
         g = state.graph
         rot = g.rotations
         tails = g.dart_tails
@@ -82,7 +82,6 @@ class SinkLabels:
                         reached.append(u)
         self.dist = dist
         self.ptr = [0] * n
-        self.stale = False
 
 
 Engine = Callable[[FlowState, int, int, int | None, SinkLabels | None], int]
@@ -98,7 +97,7 @@ def blocking_flow(state: FlowState, s: int, t: int,
         return 0
     if labels is None:
         labels = SinkLabels(t)
-    if labels.dist is None or labels.stale:
+    if labels.dist is None:
         labels.relabel(state)
     g = state.graph
     rot = g.rotations
@@ -190,8 +189,7 @@ def max_st_flow(state: FlowState, s: int, t: int,
     With `limit`, at most that many units are added, so the return value
     is ``min(limit, residual max-flow value s -> t)``. `labels` are the
     `SinkLabels` of `t` shared with earlier pushes into `t`; a source
-    whose label is infinite and not stale returns 0 without calling the
-    engine.
+    whose label is infinite returns 0 without calling the engine.
     """
     if s == t:
         raise ValueError("source and sink must differ")
@@ -200,7 +198,6 @@ def max_st_flow(state: FlowState, s: int, t: int,
     if labels is not None:
         if labels.t != t:
             raise ValueError(f"labels of sink {labels.t} used for sink {t}")
-        if (not labels.stale and labels.dist is not None
-                and labels.dist[s] == len(labels.dist)):
+        if labels.dist is not None and labels.dist[s] == len(labels.dist):
             return 0
     return _resolve(engine)(state, s, t, limit, labels)

@@ -20,8 +20,8 @@ push loop (``_saturate``). It keeps, for the loop, one ``SinkLabels`` per
 sink (see ``maxflow``): distances to that sink from one reverse BFS,
 shared by every push into it and redone only when a push is blocked. A
 push from a vertex whose label is infinite returns 0 without a search.
-A push that adds flow into one sink marks every other sink's labels
-stale, so they are recomputed before they are used again. The flows
+A push that adds flow into one sink discards the labels of the sinks
+after it, which are recomputed before they are used again. The flows
 found are those of the same loop with a fresh Dinic search per push.
 """
 
@@ -67,22 +67,26 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
     """Push each vertex in `vertices`, in order, to each sink, in order.
 
     A vertex in `sources` pushes unbounded; any other pushes at most its
-    excess and stops once that is spent. `labels[t]` serves every push
-    into sink t. A push that adds flow into t adds residual arcs that the
-    other sinks' labels do not account for, so it marks them stale.
+    excess and stops once that is spent. `labels[j]` serves every push
+    into ``sinks[j]``, and after a push that adds flow into ``sinks[j]``
+    only the labels of ``sinks[j+1:]`` are discarded. A vertex pushes into
+    ``sinks[j]`` only once it cannot reach any earlier sink t. The
+    vertices that cannot reach t are closed under residual arcs, and
+    that set holds the whole augmenting path, so the push adds and
+    removes arcs only inside it: it changes no distance to t, and no arc
+    of a vertex outside the set, whose current-arc pointers stay valid.
     """
-    labels = {t: SinkLabels(t) for t in sinks}
+    labels = [SinkLabels(t) for t in sinks]
     for p in vertices:
         bounded = p not in sources
-        for t in sinks:
+        for j, t in enumerate(sinks):
             if bounded and state.excess[p] <= 0:
                 break
             value = max_st_flow(state, p, t, engine,
-                                state.excess[p] if bounded else None, labels[t])
+                                state.excess[p] if bounded else None, labels[j])
             if value:
-                for other in labels.values():
-                    if other.t != t:
-                        other.stale = True
+                for later in labels[j + 1:]:
+                    later.dist = None
             if trace is not None:
                 trace.pair_saturated(state, p, t, value)
 
@@ -151,8 +155,7 @@ def piece_maxflow(piece: Piece, state: FlowState, sources, sinks,
                      ordered_sinks), state)
 
     preflow_value = flow_value(state, ordered_sinks)
-    cancel_flow_cycles(state)
-    drain_excess(state, source_set, sink_set)
+    drain_excess(state, source_set, sink_set, cancel_flow_cycles(state))
     if trace is not None:
         trace.phase3_done(
             Instance(state.graph, state.capacity, sorted(source_set),

@@ -161,11 +161,47 @@ def test_cancel_random_injected_cycles():
                 for d in cyc:
                     state.push(d, rng.randint(1, amt) if amt else 0)
         excess_before = list(state.excess)
-        cancel_flow_cycles(state)
+        order = cancel_flow_cycles(state)
         assert state.excess == excess_before
         assert _naive_excess(state) == excess_before
+        assert sorted(order) == list(range(g.vertex_count))
         # support graph is now acyclic: drain must not raise
-        drain_excess(state, inst.sources, inst.sinks)
+        drain_excess(state, inst.sources, inst.sinks, order)
+
+
+class _CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_cycle_cancelling_is_one_pass():
+    """200 disjoint flow cycles in the lower half of a 40x40 grid: the
+    canceller reads rotations a bounded number of times per dart and per
+    cycle dart, not once per vertex for every cycle, as a search restarted
+    at vertex 0 after each cancel would."""
+    cols = 40
+    g = grid_graph(cols, cols)
+    state = FlowState(g, [9] * g.dart_count)
+    corners = {r * cols + c for r in range(20, cols - 1, 2)
+               for c in range(0, cols - 1, 2)}
+    cycle_darts = 0
+    for face in g.faces:
+        if len(face) == 4 and min(g.tail(d) for d in face) in corners:
+            for d in face:
+                state.push(d, 3)
+            cycle_darts += len(face)
+    assert cycle_darts == 4 * len(corners) == 800
+    g.rotations = _CountingList(g.rotations)
+    order = cancel_flow_cycles(state)
+    assert g.rotations.reads <= 2 * (g.dart_count + cycle_darts)
+    assert state.cancelled_cycles == len(corners)
+    assert not any(state.flow)
+    assert sorted(order) == list(range(g.vertex_count))
 
 
 def test_drain_noop_on_flow():
@@ -173,7 +209,7 @@ def test_drain_noop_on_flow():
     state = FlowState.from_instance(inst)
     state.push(0, 4)
     before = list(state.flow)
-    drain_excess(state, [0], [1])
+    drain_excess(state, [0], [1], cancel_flow_cycles(state))
     assert state.flow == before
 
 
@@ -183,7 +219,7 @@ def test_drain_hand_case():
     state = FlowState(g, [9, 9, 9, 9])
     state.push(0, 5)
     state.push(2, 2)
-    drain_excess(state, [0], [2])
+    drain_excess(state, [0], [2], cancel_flow_cycles(state))
     assert state.flow[0] == 2 and state.flow[2] == 2
     assert state.excess[1] == 0
 
@@ -194,7 +230,7 @@ def test_drain_requires_acyclic_support():
     for d in (0, 4, 7, 3):
         state.push(d, 2)
     with pytest.raises(CyclicSupport):
-        drain_excess(state, [0], [3])
+        drain_excess(state, [0], [3], range(4))
 
 
 def test_flow_value_identities(small_corpus):
@@ -227,8 +263,7 @@ def test_conversion_preserves_value_and_excess_budget(seed):
     max_st_flow(state, inst.sources[0], t)  # a real flow into the sink first
     _random_pushes(state, rng, 30, starts=inst.sources, avoid={t})
     value = flow_value(state, inst.sinks)
-    cancel_flow_cycles(state)
-    drain_excess(state, inst.sources, inst.sinks)
+    drain_excess(state, inst.sources, inst.sinks, cancel_flow_cycles(state))
     assert flow_value(state, inst.sinks) == value
     ex = _naive_excess(state)
     terminals = set(inst.sources) | set(inst.sinks)

@@ -67,7 +67,6 @@ def test_dead_set_holds_only_vertices_cut_off_from_sink(limit, small_corpus):
             while True:  # a limited push may stop short; repeat until empty
                 added = max_st_flow(state, s, t, limit=limit, labels=labels)
                 dead = {v for v in range(n) if labels.dist[v] == n}
-                assert not labels.stale
                 assert not dead & reaching(state, t)
                 if added != limit:
                     assert s in dead
@@ -78,9 +77,9 @@ def test_dead_set_holds_only_vertices_cut_off_from_sink(limit, small_corpus):
 
 
 def test_dead_source_skips_the_engine(small_corpus):
-    """A push from a vertex whose label is infinite and not stale adds
-    nothing and never reaches the engine; stale labels are searched
-    with only after a relabel."""
+    """A push from a vertex whose label is infinite adds nothing and never
+    reaches the engine; discarded labels are searched with only after a
+    relabel."""
     calls = 0
 
     def counting(state, s, t, limit=None, labels=None):
@@ -102,9 +101,9 @@ def test_dead_source_skips_the_engine(small_corpus):
             assert max_st_flow(state, v, t, counting, limit=3, labels=labels) == 0
         assert calls == before
         assert state.flow == flow
-        labels.stale = True
+        labels.dist = None
         assert max_st_flow(state, s, t, counting, labels=labels) == 0
-        assert calls == before + 1 and not labels.stale
+        assert calls == before + 1 and labels.dist is not None
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

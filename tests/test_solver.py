@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
 from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
-                        TooManySinks, divide, flow_value, generate_instance,
-                        grid_graph, is_max_preflow, load_fig1_fixture,
-                        oracle_value, pairwise_arbitrary_saturation,
+                        TooManySinks, build_graph, divide, flow_value,
+                        generate_instance, grid_graph, is_max_preflow,
+                        load_fig1_fixture, oracle_value,
+                        pairwise_arbitrary_saturation,
                         parse_instance, piece_maxflow, root_piece,
                         sequential_saturation, solve_recursive,
                         validate_flow)
@@ -224,6 +226,29 @@ def test_shared_labels_match_reference_on_one_way_and_big_arcs(seed0):
             assert validate_flow(inst, state) == []
 
 
+def _flow_digest(solve, *args):
+    h = hashlib.sha256()
+    for i, base in enumerate(corpus(10, seed0=4400, max_n=150, extra_sinks=3)):
+        inst = _with_zero_and_big_darts(base, 4400 + i)
+        h.update(repr(solve(inst, *args).flow).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("solve, args, digest", [
+    (sequential_saturation, (),
+     "bd13e6162833587a5c71bc1f1afab4edaee5805fa6176f38db64299ef3b56e17"),
+    (solve_recursive, (DivisionParams(r=12),),
+     "5bc8b242c31d591121b082729beef1f5d4c1287899b84565488e692586a20d48"),
+    (solve_recursive, (DivisionParams(r=24),),
+     "94368f7fae309bc0b1332b3fbdf5f79af22ef99cc9bb4494e4a7b18375c9645d"),
+], ids=["sequential", "recursive-r12", "recursive-r24"])
+def test_flows_are_pinned(solve, args, digest):
+    """The flows themselves, hashed dart for dart, on several sinks with
+    one-way and 10^12 arcs: a change meant to keep every flow identical
+    must keep these digests."""
+    assert _flow_digest(solve, *args) == digest
+
+
 def test_stale_labels_are_recomputed():
     """A push into one sink can let a vertex reach another sink that its
     label called unreachable. Trusting such a stale label loses flow on
@@ -297,8 +322,8 @@ def _solve_both(inst, engine, trace=None):
 def test_no_vertex_is_searched_again_towards_a_sink():
     """Within one push loop the engine is called at most once per vertex
     and sink, never for a vertex whose label towards that sink is
-    infinite and not stale, and each call ends with the limit met or the
-    vertex's label infinite. Each vertex moves on to the next sink only
+    infinite, and each call ends with the limit met or the vertex's label
+    infinite. Each vertex moves on to the next sink only
     once it cannot reach the current one; this pins that loop order."""
     searched: dict[int, tuple[SinkLabels, set[int]]] = {}
 
@@ -308,7 +333,7 @@ def test_no_vertex_is_searched_again_towards_a_sink():
         assert s not in sources, f"vertex {s} searched again towards {t}"
         sources.add(s)
         n = state.graph.vertex_count
-        if labels.dist is not None and not labels.stale:
+        if labels.dist is not None:
             assert labels.dist[s] < n, f"dead vertex {s} searched towards {t}"
         value = blocking_flow(state, s, t, limit, labels)
         assert value == limit or labels.dist[s] == n
@@ -320,15 +345,15 @@ def test_no_vertex_is_searched_again_towards_a_sink():
 
 
 def test_dead_sets_stay_true_through_the_push_loop():
-    """After every push, no vertex whose label is infinite and not stale
-    reaches that label's sink, the other sinks' labels of the running
-    push loop included."""
+    """After every push, no vertex whose label is infinite reaches that
+    label's sink, the kept labels of the running push loop's other sinks
+    included."""
     loops: dict[int, tuple[FlowState, dict[int, SinkLabels]]] = {}
 
     def check(state, loop):
         n = state.graph.vertex_count
         for labels in loop:
-            if labels.dist is None or labels.stale:
+            if labels.dist is None:
                 continue
             dead = {v for v in range(n) if labels.dist[v] == n}
             assert not dead & reaching(state, labels.t), \
@@ -401,6 +426,41 @@ def test_division_never_falls_back_with_default_bounds(monkeypatch, r):
         assert flow_value(state, inst.sinks) == oracle_value(inst)
         assert validate_flow(inst, state) == []
     assert failures == []
+
+
+def _disjoint_union(a: Instance, b: Instance) -> Instance:
+    """One instance holding `a` and `b` side by side, unconnected."""
+    n, m = a.graph.vertex_count, a.graph.edge_count
+    edges = a.graph.edges + [(u + n, v + n) for u, v in b.graph.edges]
+    rotations = a.graph.rotations + [[d + 2 * m for d in rot]
+                                     for rot in b.graph.rotations]
+    return Instance(build_graph(n + b.graph.vertex_count, edges, rotations),
+                    a.capacities + b.capacities,
+                    a.sources + [s + n for s in b.sources],
+                    a.sinks + [t + n for t in b.sinks])
+
+
+def test_disconnected_instance_divides_into_connected_pieces(monkeypatch):
+    """Two disjoint grids as one instance: the root level is split into
+    its components before any separator, every piece is connected, and
+    the flow is maximum and valid."""
+    divisions = []
+    divide_level = solver.divide
+
+    def recording_divide(piece, params):
+        division = divide_level(piece, params)
+        divisions.append((piece.graph.component_count, division))
+        return division
+
+    monkeypatch.setattr(solver, "divide", recording_divide)
+    inst = _disjoint_union(generate_instance("grid", 150, 1, 100, 5),
+                           generate_instance("grid", 120, 2, 100, 4))
+    state = solve_recursive(inst, DivisionParams(r=24))
+    assert flow_value(state, inst.sinks) == oracle_value(inst)
+    assert validate_flow(inst, state) == []
+    assert divisions[0][0] == 2
+    for _, division in divisions:
+        assert all(piece.graph.connected for piece in division.pieces)
 
 
 def test_cycle_canceller_fire_count_reported():
