@@ -20,7 +20,6 @@ from .errors import InvalidParams, ParseError, PlanarFlowError
 from .flowstate import FlowState, flow_value
 from .formats import parse_flow, parse_instance, write_flow, write_instance
 from .generators import KINDS, generate_instance
-from .maxflow import DEFAULT_ENGINE, ENGINES
 from .oracle import load_fig1_fixture, oracle_value, validate_flow
 from .solver import (SolveTrace, pairwise_arbitrary_saturation,
                      sequential_saturation, solve_recursive)
@@ -96,7 +95,7 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 class _CliTrace(SolveTrace):
-    """Optional PFLO phase snapshots and a nested division dump."""
+    """PFLO phase snapshots and a nested division dump, each optional."""
 
     def __init__(self, directory: str | None, divisions_path: str | None):
         self.dir = Path(directory) if directory else None
@@ -126,7 +125,8 @@ class _CliTrace(SolveTrace):
         self._dump("phase3", state, instance.sinks)
 
     def division_made(self, instance, division, depth: int = 0):
-        self.division_lines.append(division_tree(division, indent=depth))
+        if self.divisions_path:
+            self.division_lines.append(division_tree(division, indent=depth))
 
     def finish(self) -> None:
         """Write the division dump; it is empty when no division was made."""
@@ -142,21 +142,18 @@ def cmd_solve(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     params = _parse_params(args.params)
-    trace = None
-    if args.trace or args.divisions:
-        trace = _CliTrace(args.trace, args.divisions)
+    trace = _CliTrace(args.trace, args.divisions)
     try:
         if args.algorithm == "recursive":
-            state = solve_recursive(inst, params, engine=args.engine, trace=trace)
+            state = solve_recursive(inst, params, trace=trace)
         else:
-            state = sequential_saturation(inst, engine=args.engine, trace=trace)
+            state = sequential_saturation(inst, trace=trace)
     except InvalidParams:
         raise  # a parameter error: main reports it with exit code 2
     except PlanarFlowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    if trace is not None:
-        trace.finish()
+    trace.finish()
     _write_out(write_flow(state.flow, flow_value(state, inst.sinks)), args.output)
     return 0
 
@@ -197,13 +194,13 @@ def cmd_verify(args) -> int:
         report(computed == oracle, "oracle-match",
                f"value={computed} oracle={oracle}")
     else:
-        seq = sequential_saturation(inst, engine=args.engine)
+        seq = sequential_saturation(inst)
         seq_value = flow_value(seq, inst.sinks)
         report(not validate_flow(inst, seq), "sequential-valid", "")
         report(seq_value == oracle, "sequential-matches-oracle",
                f"value={seq_value} oracle={oracle}")
         try:
-            rec = solve_recursive(inst, params, engine=args.engine)
+            rec = solve_recursive(inst, params)
             rec_value = flow_value(rec, inst.sinks)
             report(not validate_flow(inst, rec), "recursive-valid", "")
             report(rec_value == oracle, "recursive-matches-oracle",
@@ -236,7 +233,7 @@ def cmd_bench(args) -> int:
         for seed in seeds:
             inst = generate_instance("grid", n, seed, args.cap_max, args.sources)
             t0 = time.perf_counter()
-            state = solve_recursive(inst, params, engine=args.engine)
+            state = solve_recursive(inst, params)
             elapsed = time.perf_counter() - t0
             value = flow_value(state, inst.sinks)
             actual_n = inst.graph.vertex_count
@@ -256,7 +253,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    if args.search:
+    if args.search is not None:
+        if args.search < 1:
+            raise InvalidParams(f"--search needs at least 1 seed, got {args.search}")
         from .oracle import build_fig1_counterexample
 
         try:
@@ -277,8 +276,6 @@ def cmd_fig1(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="planarflow",
                                  description=__doc__.splitlines()[0])
-    ap.add_argument("--engine", choices=sorted(ENGINES), default=DEFAULT_ENGINE,
-                    help="st-max-flow engine")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("solve", help="compute a maximum flow for a PLEM instance")

@@ -200,6 +200,8 @@ def parse_flow(text: str) -> FlowDump:
                 raise ParseError(f"repeated flow line for dart {d}")
             dump.dart_flow[d] = ts.take_int("flow value")
         elif key == "value":
+            if saw_value:
+                raise ParseError("repeated value line")
             dump.value = ts.take_int("total value")
             saw_value = True
         else:

@@ -108,14 +108,9 @@ def generate_instance(kind: str, n: int, seed: int, cap_max: int,
 
     rng = random.Random(f"{kind}:{n}:{seed}:{cap_max}:{source_count}")
     if kind == "grid":
-        rows = max(1, int(n ** 0.5))
-        cols = max(1, n // rows)
-        if rows * cols < 2:
-            raise InvalidParams("grid target size too small")
-        graph = grid_graph(rows, cols)
+        rows = int(n ** 0.5)  # 1 <= rows <= n // rows, as n >= 2
+        graph = grid_graph(rows, n // rows)
     else:
-        if n < 3:
-            raise InvalidParams("triangulation needs n >= 3")
         graph = stacked_triangulation(n, rng)
 
     if source_count + 1 > graph.vertex_count:

@@ -23,6 +23,12 @@ push from a vertex whose label is infinite returns 0 without a search.
 A push that adds flow into one sink discards the labels of the sinks
 after it, which are recomputed before they are used again. The flows
 found are those of the same loop with a fresh Dinic search per push.
+
+Both solvers take an `engine`, a callable with the signature of
+``maxflow.blocking_flow`` (None means that engine), and a `trace`, a
+``SolveTrace`` whose hooks every solve calls; a solve given no trace
+calls those of the shared no-op ``NO_TRACE``. Phase-2 and phase-3 hooks
+receive the ``Instance`` of the level the piece belongs to.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ class SolveTrace:
 
     ``pair_saturated`` fires after every push of the push loop, in both
     solvers and phase 2 included, with the value it added (0 when the
-    vertex's label showed it cannot reach the sink).
+    vertex's label showed it cannot reach the sink). ``phase2_done`` and
+    ``phase3_done`` receive the level instance, whose graph and
+    capacities are those of `state`.
     """
 
     def pair_saturated(self, state: FlowState, source: int, sink: int,
@@ -62,8 +70,11 @@ class SolveTrace:
         pass
 
 
+NO_TRACE = SolveTrace()
+
+
 def _saturate(state: FlowState, vertices, sources, sinks, engine,
-              trace: SolveTrace | None) -> None:
+              trace: SolveTrace) -> None:
     """Push each vertex in `vertices`, in order, to each sink, in order.
 
     A vertex in `sources` pushes unbounded; any other pushes at most its
@@ -87,12 +98,11 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
             if value:
                 for later in labels[j + 1:]:
                     later.dist = None
-            if trace is not None:
-                trace.pair_saturated(state, p, t, value)
+            trace.pair_saturated(state, p, t, value)
 
 
 def sequential_saturation(instance: Instance, engine=None,
-                          trace: SolveTrace | None = None) -> FlowState:
+                          trace: SolveTrace = NO_TRACE) -> FlowState:
     """Maximum flow by exhausting sources one at a time, in the given order."""
     state = FlowState.from_instance(instance)
     _saturate(state, instance.sources, set(instance.sources), instance.sinks,
@@ -101,31 +111,31 @@ def sequential_saturation(instance: Instance, engine=None,
 
 
 def pairwise_arbitrary_saturation(instance: Instance,
-                                  pair_order: list[tuple[int, int]],
-                                  engine=None) -> FlowState:
+                                  pair_order: list[tuple[int, int]]) -> FlowState:
     """Saturate explicit (source, sink) pairs in order; not maximal in general."""
     state = FlowState.from_instance(instance)
     for s, t in pair_order:
-        max_st_flow(state, s, t, engine)
+        max_st_flow(state, s, t)
     return state
 
 
-def piece_maxflow(piece: Piece, state: FlowState, sources, sinks,
+def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
                   params: DivisionParams | None = None, engine=None,
-                  trace: SolveTrace | None = None, depth: int = 0) -> FlowState:
+                  trace: SolveTrace = NO_TRACE, depth: int = 0) -> FlowState:
     """Make the flow maximal from a piece's sources to the sinks.
 
-    `state` lives on the piece's level graph; `sources`/`sinks` are level
-    vertex ids. Phase 1 routes interior sources to the piece boundary by
-    solving a residual copy of the piece against per-hole super sinks;
-    phase 2 pushes from each boundary vertex (ascending id) to each sink
-    (ascending id), skipping vertices known not to reach that sink;
-    phase 3 restores conservation.
+    `state` lives on the piece's level graph; `instance` is that level,
+    whose sources and sinks are the terminals. Phase 1 routes interior
+    sources to the piece boundary by solving a residual copy of the piece
+    against per-hole super sinks; phase 2 pushes from each boundary
+    vertex (ascending id) to each sink (ascending id), skipping vertices
+    known not to reach that sink; phase 3 restores conservation.
     """
     if params is None:
         params = DivisionParams()
-    sink_set = set(sinks)
-    source_set = set(sources)
+    ordered_sinks = sorted(instance.sinks)
+    sink_set = set(ordered_sinks)
+    source_set = set(instance.sources)
     interior = sorted(piece.sources - piece.boundary)
 
     if interior:
@@ -143,28 +153,20 @@ def piece_maxflow(piece: Piece, state: FlowState, sources, sinks,
                     state.push(parent_dart, net)
                 elif net < 0:
                     state.push(parent_dart | 1, -net)
-            if trace is not None:
-                trace.phase1_done(piece, sub_instance, sub_state)
+            trace.phase1_done(piece, sub_instance, sub_state)
 
-    ordered_sinks = sorted(sink_set)
     boundary = {piece.to_parent_vertex[v] for v in piece.boundary} - sink_set
     _saturate(state, sorted(boundary), source_set, ordered_sinks, engine, trace)
-    if trace is not None:
-        trace.phase2_done(
-            Instance(state.graph, state.capacity, sorted(source_set),
-                     ordered_sinks), state)
+    trace.phase2_done(instance, state)
 
     preflow_value = flow_value(state, ordered_sinks)
     drain_excess(state, source_set, sink_set, cancel_flow_cycles(state))
-    if trace is not None:
-        trace.phase3_done(
-            Instance(state.graph, state.capacity, sorted(source_set),
-                     ordered_sinks), state, preflow_value)
+    trace.phase3_done(instance, state, preflow_value)
     return state
 
 
 def _solve(instance: Instance, params: DivisionParams, engine,
-           trace: SolveTrace | None, depth: int = 0) -> FlowState:
+           trace: SolveTrace, depth: int = 0) -> FlowState:
     division = None
     if instance.graph.vertex_count > params.r and instance.sources:
         try:
@@ -176,16 +178,14 @@ def _solve(instance: Instance, params: DivisionParams, engine,
     if division is None:
         return sequential_saturation(instance, engine, trace)
     state = FlowState.from_instance(instance)
-    if trace is not None:
-        trace.division_made(instance, division, depth)
+    trace.division_made(instance, division, depth)
     for piece in division.pieces:
-        piece_maxflow(piece, state, instance.sources, instance.sinks,
-                      params, engine, trace, depth)
+        piece_maxflow(piece, state, instance, params, engine, trace, depth)
     return state
 
 
 def solve_recursive(instance: Instance, params: DivisionParams | None = None,
-                    engine=None, trace: SolveTrace | None = None) -> FlowState:
+                    engine=None, trace: SolveTrace = NO_TRACE) -> FlowState:
     """Maximum flow from the instance's sources to its sinks by recursive
     division into pieces; at most ``params.sink_bound`` sinks are allowed."""
     if params is None:

@@ -126,10 +126,13 @@ def test_removed_params_key_rejected(tmp_path, capsys):
     (["bench", "--sizes", "1x0"], None),
     (["bench", "--sizes", "100", "--seeds", "a"], None),
     (["gen", "--n", "10"], "abc"),
+    (["fig1", "--search", "0"], None),
+    (["fig1", "--search", "-1"], None),
 ], ids=["solve-c_p", "solve-r", "solve-boundary-nan", "solve-sequential-p",
         "verify-c_p",
         "verify-r", "verify-p", "verify-r-too-small", "bench-c_p", "bench-r",
-        "bench-sizes", "bench-seeds", "gen-env-seed"])
+        "bench-sizes", "bench-seeds", "gen-env-seed", "fig1-search-0",
+        "fig1-search-negative"])
 def test_malformed_numbers_exit_2(argv, env_seed, tmp_path, capsys,
                                   monkeypatch):
     path = tmp_path / "edge.plem"
@@ -144,14 +147,11 @@ def test_malformed_numbers_exit_2(argv, env_seed, tmp_path, capsys,
     assert "PASS" not in out  # nor is any check run before it is rejected
 
 
-def test_engine_flag_goes_before_the_verb(tmp_path, capsys):
+def test_engine_flag_is_gone(tmp_path):
     path = tmp_path / "edge.plem"
     path.write_text(SINGLE_EDGE)
-    code, out, _ = run(["--engine", "dinic", "solve", str(path)], capsys)
-    assert code == 0
-    assert parse_flow(out).value == 9
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--engine", "bfs", "solve", str(path)])
+        cli.main(["--engine", "dinic", "solve", str(path)])
     assert exc.value.code == 2
 
 

@@ -85,6 +85,11 @@ def test_flow_dump_rejects_repeated_dart():
         parse_flow("flow 1 3\nflow 1 4\nvalue 7\n")
 
 
+def test_flow_dump_rejects_repeated_value():
+    with pytest.raises(ParseError, match="repeated value"):
+        parse_flow("flow 1 3\nvalue 3\nvalue 99\n")
+
+
 def test_header_counts_checked_against_input_length():
     # 5000000 rot lines need 10^7 tokens; the input has none
     with pytest.raises(ParseError, match="plem 5000000 0"):

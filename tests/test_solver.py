@@ -106,9 +106,10 @@ def test_outer_loop_monotonicity():
 
 def test_piece_with_no_sources_is_noop():
     inst = parse_instance(SINGLE_EDGE)
-    piece = root_piece(Instance(inst.graph, inst.capacities, [], [1]))
+    level = Instance(inst.graph, inst.capacities, [], [1])
+    piece = root_piece(level)
     state = FlowState.from_instance(inst)
-    piece_maxflow(piece, state, [], [1])
+    piece_maxflow(piece, state, level)
     assert state.flow == [0, 0]
 
 
@@ -129,7 +130,7 @@ def test_boundary_sources_reduce_to_sequential():
             v for v in range(piece.size)
             if piece.to_parent_vertex[v] in boundary_parent),
         piece.holes, piece.external)
-    piece_maxflow(test_piece, state, boundary_parent, inst.sinks)
+    piece_maxflow(test_piece, state, inst)
     want = flow_value(sequential_saturation(inst), inst.sinks)
     assert flow_value(state, inst.sinks) == want
 
@@ -159,6 +160,33 @@ def test_phase_hooks_fire_and_preserve_value():
     inst = corpus(1, seed0=8000, max_n=150)[0]
     solve_recursive(inst, DivisionParams(r=24), trace=hooks)
     assert hooks.phase2 and hooks.phase3 and hooks.phase2 == hooks.phase3
+
+
+def test_phase_hooks_receive_the_level_instance():
+    """Phase-2 and phase-3 hooks get the Instance object of the level the
+    piece belongs to; at the top level, the one passed to solve_recursive."""
+
+    class Levels(SolveTrace):
+        def __init__(self):
+            self.levels = []  # (level instance, piece count) per division
+            self.seen = []    # the instance given to each phase-2/3 hook
+
+        def division_made(self, instance, division, depth=0):
+            self.levels.append((instance, len(division.pieces)))
+
+        def phase2_done(self, instance, state):
+            self.seen.append(instance)
+
+        def phase3_done(self, instance, state, preflow_value):
+            self.seen.append(instance)
+
+    inst = corpus(1, seed0=8000, max_n=150)[0]
+    levels = Levels()
+    solve_recursive(inst, DivisionParams(r=24), trace=levels)
+    assert levels.levels[0][0] is inst
+    for level, pieces in levels.levels:
+        assert sum(seen is level for seen in levels.seen) == 2 * pieces
+    assert len(levels.seen) == 2 * sum(pieces for _, pieces in levels.levels)
 
 
 def test_engines_give_same_value_through_solvers(small_corpus):
@@ -314,7 +342,7 @@ def test_sequential_shares_reverse_searches_across_pushes(monkeypatch):
     assert 0 < relabels < pushes.count
 
 
-def _solve_both(inst, engine, trace=None):
+def _solve_both(inst, engine, trace=solver.NO_TRACE):
     sequential_saturation(inst, engine=engine, trace=trace)
     solve_recursive(inst, DivisionParams(r=24), engine=engine, trace=trace)
 
