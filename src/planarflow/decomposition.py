@@ -6,17 +6,21 @@ faces not inherited from the level graph, plus degenerate single-vertex
 holes for boundary vertices not lying on any such face). Divisions split
 a piece with balanced cycle separators until every subpiece satisfies the
 size, boundary and hole bounds. A disconnected root piece, or side of a
-separator, is split into its components before any subgraph is built
-(subpieces of a connected piece stay connected), and holes are
-computed only for pieces within the size and boundary bounds, so every
-finished piece has them.
+separator, is split into its components (``embedding.components``) before
+any subgraph is built (subpieces of a connected piece stay connected), and
+holes are computed only for pieces within the size and boundary bounds,
+so every finished piece has them.
 
 Separators are fundamental cycles of a BFS tree in a scratch copy whose
-faces are fanned into triangles in one pass and one graph build. The copy
-may have parallel edges, so a fundamental cycle may have two darts.
-Candidates are ranked by dual-tree subtree weights, the two sides of a
-candidate come from the dual subtree under its non-tree edge, and the 2/3
-balance of both sides is checked exactly before use.
+faces are fanned into triangles in one pass and one ``embedding.splice``.
+The copy may have parallel edges, so a fundamental cycle may have two
+darts. Candidates are ranked by dual-tree subtree weights, the two sides
+of a candidate come from the dual subtree under its non-tree edge, and
+the 2/3 balance of both sides is checked exactly before use.
+
+A super sink is embedded inside each hole of a piece by
+``embedding.insert_vertices_in_faces``, from the first dart into each
+anchor along one walk of the hole's face.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .embedding import (EmbeddedGraph, build_graph, corner_dart,
-                        induced_subgraph, insert_vertices_in_faces)
+from .embedding import (EmbeddedGraph, components, induced_subgraph,
+                        insert_vertices_in_faces, splice)
 from .errors import CannotSatisfyBounds, InvalidParams, NotConnected, SeparatorFailed
 from .formats import Instance
 
@@ -48,7 +52,7 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
     """
     tails = g.dart_tails
     edges = list(g.edges)
-    insert_after: dict[int, list[int]] = {}  # dart -> chord darts after it
+    after: dict[int, list[int]] = {}  # dart -> chord darts right after it
     for walk in g.faces:
         k = len(walk)
         if k <= 3:
@@ -65,19 +69,9 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
             e = len(edges)
             edges.append((u, tails[d ^ 1]))
             at_anchor.append(2 * e)
-            insert_after[d ^ 1] = [2 * e + 1]
-        insert_after[w[-1] ^ 1] = at_anchor[::-1]
-
-    if not insert_after:
-        return g
-    rotations = []
-    for v in range(g.vertex_count):
-        rot = []
-        for d in g.rotations[v]:
-            rot.append(d)
-            rot.extend(insert_after.get(d, ()))
-        rotations.append(rot)
-    return build_graph(g.vertex_count, edges, rotations)
+            after[d ^ 1] = [2 * e + 1]
+        after[w[-1] ^ 1] = at_anchor[::-1]
+    return splice(g, edges, after)
 
 
 # -- separator ----------------------------------------------------------------
@@ -427,29 +421,6 @@ def _make_subpiece(piece: Piece, kept_local, extra_boundary=()) -> Piece:
                  boundary, sources)
 
 
-def _components_within(g: EmbeddedGraph, kept) -> list[list[int]]:
-    """Vertex lists of the components of the subgraph of `g` induced by
-    `kept`, ordered by smallest vertex."""
-    tails, rotations = g.dart_tails, g.rotations
-    unseen = [False] * g.vertex_count
-    for v in kept:
-        unseen[v] = True
-    out = []
-    for s in range(g.vertex_count):
-        if not unseen[s]:
-            continue
-        unseen[s] = False
-        comp = [s]
-        for v in comp:
-            for d in rotations[v]:
-                w = tails[d ^ 1]
-                if unseen[w]:
-                    unseen[w] = False
-                    comp.append(w)
-        out.append(comp)
-    return out
-
-
 def divide(piece: Piece, params: DivisionParams) -> Division:
     """Split a piece until every subpiece meets the three division bounds.
 
@@ -472,7 +443,7 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
     queue = [piece]
     if piece.graph.component_count > 1:
         queue = [_make_subpiece(piece, comp)
-                 for comp in _components_within(piece.graph, range(n0))]
+                 for comp in components(piece.graph, range(n0))]
     finished: list[Piece] = []
     separators: list[list[int]] = []
     budget = 64 + 16 * n0.bit_length()
@@ -508,7 +479,7 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
                     "separator made no progress on a piece "
                     f"of size {q.size} (cycle {len(cycle)}, sides "
                     f"{len(side_a)}/{len(side_b)})")
-            for comp in _components_within(q.graph, kept):
+            for comp in components(q.graph, kept):
                 queue.append(_make_subpiece(
                     q, comp, extra_boundary=on_cycle.intersection(comp)))
 
@@ -544,7 +515,12 @@ def attach_super_sinks(piece: Piece,
     entries = list(piece.holes)
     if piece.external is not None:
         entries.append(piece.external)
-    ins = insert_vertices_in_faces(
-        g, [[corner_dart(g, h.face, v) for v in h.anchors] for h in entries])
-    caps.extend([never_bottleneck, 0] * (ins.graph.edge_count - g.edge_count))
-    return AttachedSinks(ins.graph, caps, ins.new_vertices)
+    corner_lists = []
+    for h in entries:
+        # the first dart into each anchor along one walk of the hole's face
+        first = {g.head(d): d for d in reversed(g.faces[h.face])}
+        corner_lists.append([first[v] for v in h.anchors])
+    grown = insert_vertices_in_faces(g, corner_lists)
+    caps.extend([never_bottleneck, 0] * (grown.edge_count - g.edge_count))
+    return AttachedSinks(grown, caps,
+                         list(range(g.vertex_count, grown.vertex_count)))

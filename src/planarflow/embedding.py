@@ -6,6 +6,13 @@ outgoing darts in cyclic order. Faces are derived by traversal, and a
 rotation system is accepted as planar exactly when Euler's formula holds
 for every connected component.
 
+A graph grows in one way: `splice` copies the rotations with new darts
+right after given darts, appends the rotations of new vertices, and builds
+once. Fan chords of a scratch triangulation (``decomposition.triangulate``)
+and super sinks inside faces (`insert_vertices_in_faces`) both go through
+it, so every old dart and vertex keeps its id. `components` is the one
+component search, used for `component_count` and by divisions.
+
 Dart numbering convention: edge ``e = (u, v)`` owns darts ``2e`` (u -> v)
 and ``2e + 1`` (v -> u); ``rev(d) == d ^ 1``.
 """
@@ -131,28 +138,9 @@ class EmbeddedGraph:
         self.faces = faces
         self.dart_face = dart_face
 
-    def _count_components(self) -> int:
-        """Number of connected components, isolated vertices included."""
-        seen = [False] * self.vertex_count
-        count = 0
-        for s in range(self.vertex_count):
-            if seen[s]:
-                continue
-            seen[s] = True
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for d in self.rotations[v]:
-                    w = self.dart_tails[d ^ 1]
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            count += 1
-        return count
-
     def _check_euler(self) -> None:
         n, m = self.vertex_count, len(self.edges)
-        count = self.component_count = self._count_components()
+        count = self.component_count = len(components(self, range(n)))
         # an isolated vertex has one face the dart traversal cannot see
         isolated = sum(1 for rot in self.rotations if not rot)
         if n - m + len(self.faces) + isolated != 2 * count:
@@ -169,6 +157,29 @@ def build_graph(vertex_count: int, edges: list[tuple[int, int]],
     planar embedding, DanglingDart if a rotation references an unknown dart.
     """
     return EmbeddedGraph(vertex_count, edges, rotations)
+
+
+def components(g: EmbeddedGraph, kept) -> list[list[int]]:
+    """Vertex lists of the components of the subgraph of `g` induced by
+    `kept`, ordered by smallest vertex; an isolated vertex is its own."""
+    tails, rotations = g.dart_tails, g.rotations
+    unseen = [False] * g.vertex_count
+    for v in kept:
+        unseen[v] = True
+    out = []
+    for s in range(g.vertex_count):
+        if not unseen[s]:
+            continue
+        unseen[s] = False
+        comp = [s]
+        for v in comp:
+            for d in rotations[v]:
+                w = tails[d ^ 1]
+                if unseen[w]:
+                    unseen[w] = False
+                    comp.append(w)
+        out.append(comp)
+    return out
 
 
 # -- subgraphs -----------------------------------------------------------
@@ -213,44 +224,47 @@ def induced_subgraph(g: EmbeddedGraph, vertices) -> Subgraph:
     return Subgraph(sub, vset, to_parent_edge, index)
 
 
-# -- in-face vertex insertion ---------------------------------------------
+# -- growth --------------------------------------------------------------
 
 
-@dataclass
-class ApexInsertion:
-    """Result of inserting new vertices inside faces, one per corner list."""
+def splice(g: EmbeddedGraph, edges: list[tuple[int, int]],
+           after: dict[int, list[int]], new_rotations=()) -> EmbeddedGraph:
+    """`g` grown by new darts, in one graph build.
 
-    graph: EmbeddedGraph
-    new_vertices: list[int]
-    new_edges: list[list[int]]  # per vertex: anchor -> apex edge ids, walk order
-
-
-def corner_dart(g: EmbeddedGraph, face_id: int, vertex: int) -> int:
-    """First dart of the face walk arriving at `vertex` (its corner token)."""
-    for d in g.faces[face_id]:
-        if g.head(d) == vertex:
-            return d
-    raise ValueError(f"vertex {vertex} not on face {face_id}")
+    `edges` holds `g.edges` as a prefix, then the new edges. Each rotation
+    of `g` is copied with the darts `after[d]` right after dart `d`, and
+    `new_rotations` are the rotations of new vertices ``g.vertex_count``,
+    ``g.vertex_count + 1``, ... So every old dart and vertex keeps its id.
+    `g` itself is returned when there is nothing to add.
+    """
+    if not after and not new_rotations:
+        return g
+    rotations = []
+    for rot in g.rotations:
+        grown = []
+        for d in rot:
+            grown.append(d)
+            grown.extend(after.get(d, ()))
+        rotations.append(grown)
+    rotations.extend(new_rotations)
+    return EmbeddedGraph(g.vertex_count + len(new_rotations), edges, rotations)
 
 
 def insert_vertices_in_faces(g: EmbeddedGraph,
-                             corner_lists: list[list[int]]) -> ApexInsertion:
+                             corner_lists: list[list[int]]) -> EmbeddedGraph:
     """Insert one new vertex per corner list, all in a single graph build.
 
     Each list holds arrival darts of `g` on a single face; its new vertex
-    gets one edge to the head of each. No corner dart may appear in two
-    lists. Dart and vertex ids of the old graph are preserved, and new
-    vertices and edges are appended in list order, so capacities or flows
-    indexed by dart carry over unchanged. An empty batch returns `g`.
+    gets one edge to the head of each, in the order of the face walk. No
+    corner dart may appear in two lists. The new vertices are
+    ``g.vertex_count``, ``g.vertex_count + 1``, ... and their edges are
+    appended, both in list order, so capacities or flows indexed by dart
+    carry over unchanged. An empty batch returns `g`.
     """
-    if not corner_lists:
-        return ApexInsertion(g, [], [])
     n = g.vertex_count
     edges = list(g.edges)
-    new_vertices: list[int] = []
-    new_edges: list[list[int]] = []
+    after: dict[int, list[int]] = {}  # rev(arrival dart) -> new dart at anchor
     apex_rotations: list[list[int]] = []
-    insert_after: dict[int, int] = {}  # rev(arrival dart) -> new dart at anchor
     for corner_darts in corner_lists:
         if not corner_darts:
             raise ValueError("need at least one corner dart")
@@ -263,29 +277,16 @@ def insert_vertices_in_faces(g: EmbeddedGraph,
         if len(set(g.head(d) for d in order)) != len(order):
             raise ValueError("one edge per anchor vertex: duplicate corner vertex")
 
-        apex = n + len(new_vertices)
+        apex = n + len(apex_rotations)
         ids = []
         for d in order:
-            if d ^ 1 in insert_after:
+            if d ^ 1 in after:
                 raise ValueError(f"corner dart {d} appears in two corner lists")
             e = len(edges)
             edges.append((g.head(d), apex))
             ids.append(e)
-            insert_after[d ^ 1] = 2 * e
-        new_vertices.append(apex)
-        new_edges.append(ids)
+            after[d ^ 1] = [2 * e]
         # Apex sees its anchors in reverse walk order (face traversal closes
         # each sub-face by stepping backwards around the new vertex).
         apex_rotations.append([2 * e + 1 for e in reversed(ids)])
-
-    rotations = []
-    for v in range(n):
-        rot = []
-        for d in g.rotations[v]:
-            rot.append(d)
-            if d in insert_after:
-                rot.append(insert_after[d])
-        rotations.append(rot)
-    rotations.extend(apex_rotations)
-    return ApexInsertion(EmbeddedGraph(n + len(new_vertices), edges, rotations),
-                         new_vertices, new_edges)
+    return splice(g, edges, after, apex_rotations)

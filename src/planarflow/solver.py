@@ -6,10 +6,13 @@ Two independent algorithms are provided:
   residual graph, in the given order; grouping all sinks per source makes
   the final flow maximum regardless of order.
 * ``solve_recursive`` divides the graph into hole-bounded pieces and runs,
-  per piece, a three-phase push: interior sources to the piece boundary
-  (recursively, against per-hole super sinks), boundary vertices to the
-  sinks (sources unbounded, others limited by their accumulated excess),
-  and a preflow-to-flow conversion.
+  per piece that holds a source, a three-phase push: interior sources to
+  the piece boundary (recursively, against per-hole super sinks),
+  boundary vertices to the sinks (sources unbounded, others limited by
+  their accumulated excess), and a preflow-to-flow conversion. Each
+  conversion leaves no excess off the terminals and no flow cycle, so the
+  phases of a piece without a source would move nothing; such pieces are
+  skipped, hooks included.
 
 ``pairwise_arbitrary_saturation`` saturates explicit (source, sink) pairs
 in a given order; it exists to demonstrate that ungrouped pair orders are
@@ -180,7 +183,9 @@ def _solve(instance: Instance, params: DivisionParams, engine,
     state = FlowState.from_instance(instance)
     trace.division_made(instance, division, depth)
     for piece in division.pieces:
-        piece_maxflow(piece, state, instance, params, engine, trace, depth)
+        # phase 3 leaves no stray excess or cycle: sourceless pieces do nothing
+        if piece.sources:
+            piece_maxflow(piece, state, instance, params, engine, trace, depth)
     return state
 
 

@@ -11,7 +11,6 @@ from planarflow import (DivisionParams, Instance, InvalidParams,
                         divide, generate_instance, grid_graph,
                         induced_subgraph, insert_vertices_in_faces, root_piece,
                         stacked_triangulation, triangulate)
-from planarflow.embedding import corner_dart
 from conftest import corpus
 
 
@@ -41,6 +40,12 @@ def side_weights(graph, cycle, weights):
                     queue.append(w)
         out.append(total)
     return out
+
+
+def corner_darts(graph, hole):
+    """First dart into each anchor of `hole`, one face walk per anchor."""
+    walk = graph.faces[hole.face]
+    return [next(d for d in walk if graph.head(d) == v) for v in hole.anchors]
 
 
 def check_separator(graph, weights, cycle):
@@ -378,17 +383,16 @@ def test_attach_super_sinks_two_holes_plus_external():
     assert ag.vertex_count - ag.edge_count + len(ag.faces) == 2
 
     # one batched build equals inserting the super sinks one at a time
-    corner_lists = [[corner_dart(sub.graph, h.face, v) for v in h.anchors]
-                    for h in holes + [external]]
+    corner_lists = [corner_darts(sub.graph, h) for h in holes + [external]]
     one_by_one = sub.graph
     for corners in corner_lists:
-        one_by_one = insert_vertices_in_faces(one_by_one, [corners]).graph
+        one_by_one = insert_vertices_in_faces(one_by_one, [corners])
     batched = insert_vertices_in_faces(sub.graph, corner_lists)
-    assert batched.graph.edges == one_by_one.edges == ag.edges
-    assert batched.graph.rotations == one_by_one.rotations == ag.rotations
-    assert batched.new_vertices == attached.super_sinks == [
-        sub.graph.vertex_count + i for i in range(3)]
-    assert [len(ids) for ids in batched.new_edges] == [
+    assert batched.edges == one_by_one.edges == ag.edges
+    assert batched.rotations == one_by_one.rotations == ag.rotations
+    apexes = [sub.graph.vertex_count + i for i in range(3)]
+    assert attached.super_sinks == apexes
+    assert [len(batched.rotations[z]) for z in apexes] == [
         len(corners) for corners in corner_lists]
 
 

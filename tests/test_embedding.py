@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from planarflow import (DanglingDart, NonEmbedding, build_graph, grid_graph,
                         induced_subgraph, insert_vertices_in_faces,
                         stacked_triangulation)
+from planarflow.embedding import components
 
 TRIANGLE = dict(vertex_count=3, edges=[(0, 1), (1, 2), (2, 0)],
                 rotations=[[0, 5], [2, 1], [4, 3]])
@@ -91,8 +92,7 @@ def test_toroidal_rotation_fails_euler():
 def test_insert_vertices_in_faces_full_star():
     g = grid_graph(3, 3)
     quad = next(f for f in g.faces if len(f) == 4)
-    ins = insert_vertices_in_faces(g, [list(quad)])
-    h = ins.graph
+    h = insert_vertices_in_faces(g, [list(quad)])
     assert h.vertex_count == g.vertex_count + 1
     assert h.edge_count == g.edge_count + 4
     assert len(h.faces) == len(g.faces) + 3
@@ -104,9 +104,10 @@ def test_insert_vertices_in_faces_full_star():
 def test_insert_vertex_single_anchor_keeps_face_count():
     g = grid_graph(3, 3)
     quad = next(f for f in g.faces if len(f) == 4)
-    ins = insert_vertices_in_faces(g, [[quad[0]]])
-    assert len(ins.graph.faces) == len(g.faces)
-    assert len(ins.graph.rotations[ins.new_vertices[0]]) == 1
+    h = insert_vertices_in_faces(g, [[quad[0]]])
+    assert h.vertex_count == g.vertex_count + 1
+    assert len(h.faces) == len(g.faces)
+    assert len(h.rotations[g.vertex_count]) == 1
 
 
 def test_insert_vertices_rejects_a_corner_named_twice():
@@ -114,6 +115,15 @@ def test_insert_vertices_rejects_a_corner_named_twice():
     quad = next(f for f in g.faces if len(f) == 4)
     with pytest.raises(ValueError):
         insert_vertices_in_faces(g, [[quad[0]], [quad[0], quad[2]]])
+
+
+def test_isolated_vertex_is_a_component_of_its_own():
+    # an edge 0-1 and the isolated vertex 2: V - E + F + isolated = 2c
+    g = build_graph(3, [(0, 1)], [[0], [1], []])
+    assert g.component_count == 2
+    assert not g.connected
+    assert components(g, range(3)) == [[0, 1], [2]]
+    assert components(g, [0, 2]) == [[0], [2]]
 
 
 def test_induced_subgraph_inherits_embedding():

@@ -96,7 +96,7 @@ def _triangulation_by_insertion(n, rng):
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)], [[0, 5], [2, 1], [4, 3]])
     while g.vertex_count < n:
         walk = g.faces[rng.randrange(len(g.faces))]
-        g = insert_vertices_in_faces(g, [list(walk)]).graph
+        g = insert_vertices_in_faces(g, [list(walk)])
     return g
 
 
