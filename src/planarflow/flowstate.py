@@ -4,6 +4,10 @@ Flow is stored per dart in net normal form: of the two opposite darts of
 an edge at most one carries positive flow. Residual capacity of a dart is
 ``cap(d) - flow(d) + flow(rev d)``; per-vertex excess (inflow minus
 outflow) is maintained incrementally and recomputable for validation.
+Every flow change goes through `FlowState.push_path`, which sends an
+amount along a walk of darts and changes excess only at the walk's two
+ends; `push` is its one-dart case. The max-flow engine augments a whole
+path, and the cycle canceller cancels a whole cycle, with one call.
 """
 
 from __future__ import annotations
@@ -59,17 +63,46 @@ class FlowState:
 
     def push(self, dart: int, amount: int) -> None:
         """Send `amount` along a dart, keeping net normal form."""
-        if amount == 0:
-            return
-        if amount < 0 or amount > self.residual(dart):
-            raise ValueError(
-                f"push of {amount} exceeds residual {self.residual(dart)} on dart {dart}")
-        rev = dart ^ 1
-        cancel = min(amount, self.flow[rev])
-        self.flow[rev] -= cancel
-        self.flow[dart] += amount - cancel
-        self.excess[self.graph.tail(dart)] -= amount
-        self.excess[self.graph.head(dart)] += amount
+        self.push_path((dart,), amount)
+
+    def push_path(self, darts, amount: int) -> None:
+        """Send `amount` along a walk, keeping net normal form.
+
+        Each dart must start where the one before it ends, use an edge no
+        other dart of the walk uses, and have residual at least `amount`.
+        Only the walk's two ends change excess; a closed walk changes
+        none. Raises ValueError, changing nothing, if any of this fails or
+        `amount` is negative; an amount of 0 along a walk changes nothing.
+        """
+        if amount < 0:
+            raise ValueError(f"push of negative amount {amount}")
+        if not darts:
+            raise ValueError("push along an empty walk")
+        cap = self.capacity
+        flow = self.flow
+        tails = self.graph.dart_tails
+        start = at = tails[darts[0]]
+        for d in darts:
+            if tails[d] != at:
+                raise ValueError(
+                    f"dart {d} does not continue the walk at vertex {at}")
+            if cap[d] - flow[d] + flow[d ^ 1] < amount:
+                raise ValueError(
+                    f"push of {amount} exceeds residual "
+                    f"{cap[d] - flow[d] + flow[d ^ 1]} on dart {d}")
+            at = tails[d ^ 1]
+        if len(darts) > 1 and len({d >> 1 for d in darts}) < len(darts):
+            raise ValueError("walk uses an edge twice")
+        for d in darts:
+            rev = d ^ 1
+            back = flow[rev]  # cancelled first
+            if back < amount:
+                flow[rev] = 0
+                flow[d] += amount - back
+            else:
+                flow[rev] = back - amount
+        self.excess[start] -= amount
+        self.excess[at] += amount
 
 
 @dataclass(frozen=True)
@@ -190,8 +223,7 @@ def cancel_flow_cycles(state: FlowState) -> list[int]:
                 continue
             cycle = [frame[2] for frame in stack[k + 1:]] + [d]  # w -> v -> w
             amount = min(flow[c] for c in cycle)
-            for c in cycle:
-                state.push(c ^ 1, amount)
+            state.push_path([c ^ 1 for c in reversed(cycle)], amount)
             state.cancelled_cycles += 1
             cut = k + next(j for j, c in enumerate(cycle) if not flow[c])
             for frame in stack[cut + 1:]:

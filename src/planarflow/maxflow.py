@@ -10,18 +10,25 @@ on towards a sink. An engine is a callable with the signature of
 engine must produce identical values (flows may differ).
 
 The levels of this Dinic are measured *to* the sink. `SinkLabels(t)`
-holds `dist`, the residual distance of every vertex to `t` found by one
-reverse BFS from `t` (``n``, the vertex count, where `t` is
-unreachable), and one current-arc pointer per vertex; `dist` is None
-until the first search and after a caller discards the labels. The
-engine searches from `s` only along admissible arcs, residual darts on
-which `dist` falls by 1, and relabels when the search from `s` is
-blocked, until `dist[s]` is infinite. Augmenting along admissible arcs
-adds only arcs on which `dist` rises, so the labels stay valid lower
-bounds, a dead end stays dead and no skipped arc becomes admissible.
-That holds for the next source pushing into `t` too, so one `SinkLabels`
-serves every push into `t` of a push loop, and a vertex whose label is
-infinite is *dead* for `t`: it cannot reach `t`, and `max_st_flow`
+holds `dist`, one label per vertex from a reverse BFS from `t`, and one
+current-arc pointer per vertex; `dist` is None until the first search
+and after a caller discards the labels. The engine relabels for the
+source `s` it pushes from, and the search stops once every vertex within
+``dist[s]`` of `t` is reached: those vertices get their exact distance
+to `t`, every other vertex ``dist[s] + 1``, a lower bound. A search that
+runs out first labels every vertex exactly, ``n`` (the vertex count)
+where `t` is unreachable, so ``dist[v] == n`` still means that `v`
+cannot reach `t`. Either way the labels are valid:
+``dist[u] <= dist[v] + 1`` on every residual dart u -> v. The engine
+searches from `s` only along admissible arcs, residual darts on which
+`dist` falls by 1, and relabels when the search from `s` is blocked,
+until ``dist[s] == n``. Augmenting along admissible arcs adds only arcs
+on which `dist` rises, so the labels stay valid lower bounds, a dead end
+stays dead and no skipped arc becomes admissible. That holds for the
+next source pushing into `t` too, so one `SinkLabels` serves every push
+into `t` of a push loop; a source labelled below its true distance finds
+no admissible path, so its search is blocked and relabels. A vertex
+labelled n is *dead* for `t`: it cannot reach `t`, and `max_st_flow`
 returns 0 for it without calling the engine. A push into another sink
 may add arcs the labels do not know of; the caller then sets `dist` to
 None, and the engine relabels before it searches.
@@ -29,11 +36,16 @@ None, and the engine relabels before it searches.
 The flows are those of the textbook forward-level Dinic, arc for arc.
 With valid lower-bound labels every admissible `s`-`t` path has exactly
 `dist[s]` arcs, so one is found only when `dist[s]` is the true
-distance, and then the admissible arcs that lead to `t` are exactly the
-arcs of shortest `s`-`t` paths: those through which a forward level
-graph from `s` reaches `t`. The search scans each rotation in the same
-order and retreats from the same dead ends, so it finds the same paths
-in the same order. Another engine may ignore `labels`; then nothing
+distance, and then validity forces the label of every vertex of a
+shortest `s`-`t` path to its true distance: the admissible arcs that
+lead to `t` are exactly the arcs of shortest `s`-`t` paths, those
+through which a forward level graph from `s` reaches `t`. The search
+from `s` visits only vertices labelled below `dist[s]`, which a stopped
+relabel labels exactly, as a full one would; the vertices that a stopped
+relabel labels by the bound are never visited. The search scans each
+rotation in the same order and retreats from the same dead ends, so it
+finds the same paths in the same order, and augments each with one
+`FlowState.push_path`. Another engine may ignore `labels`; then nothing
 is shared and nothing is skipped.
 
 `max_st_flow` returns the value only. A caller that wants the min cut
@@ -50,7 +62,8 @@ from .flowstate import FlowState
 
 
 class SinkLabels:
-    """Distance labels towards sink `t`, shared by the pushes into it."""
+    """Distance labels towards sink `t`, shared by the pushes into it:
+    exact within the last search's reach, lower bounds beyond it."""
 
     __slots__ = ("t", "dist", "ptr")
 
@@ -59,9 +72,16 @@ class SinkLabels:
         self.dist: list[int] | None = None
         self.ptr: list[int] | None = None
 
-    def relabel(self, state: FlowState) -> None:
-        """Exact residual distances to `t` by one reverse BFS; resets the
-        current-arc pointers."""
+    def relabel(self, state: FlowState, s: int | None = None) -> None:
+        """Distances to `t` by one reverse BFS that stops once every
+        vertex within ``dist[s]`` of `t` is reached; resets the
+        current-arc pointers.
+
+        Reached vertices get their exact distance and every other vertex
+        ``dist[s] + 1``, a lower bound. A search that runs out first, as
+        it always does without `s`, labels every vertex exactly, ``n``
+        where `t` is unreachable.
+        """
         g = state.graph
         rot = g.rotations
         tails = g.dart_tails
@@ -73,6 +93,14 @@ class SinkLabels:
         reached = [self.t]
         for w in reached:  # the list grows behind the loop: a FIFO queue
             nxt = dist[w] + 1
+            if s is not None and nxt > dist[s]:
+                # every vertex within dist[s] of t is reached: the rest
+                # lie at nxt or beyond
+                exact = dist
+                dist = [nxt] * n
+                for v in reached:
+                    dist[v] = exact[v]
+                break
             for d in rot[w]:
                 r = d ^ 1  # the dart into w
                 if cap[r] - flow[r] + flow[d] > 0:
@@ -98,7 +126,7 @@ def blocking_flow(state: FlowState, s: int, t: int,
     if labels is None:
         labels = SinkLabels(t)
     if labels.dist is None:
-        labels.relabel(state)
+        labels.relabel(state, s)
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
@@ -112,19 +140,18 @@ def blocking_flow(state: FlowState, s: int, t: int,
     v = s
     while dist[s] < n:
         if v == t:
-            bottleneck = min(cap[d] - flow[d] + flow[d ^ 1] for d in path)
+            residuals = [cap[d] - flow[d] + flow[d ^ 1] for d in path]
+            bottleneck = min(residuals)
             if limit is not None:
                 bottleneck = min(bottleneck, limit - total)
-            for d in path:
-                state.push(d, bottleneck)
+            state.push_path(path, bottleneck)
             total += bottleneck
             if total == limit:
                 break
-            for idx, d in enumerate(path):
-                if cap[d] - flow[d] + flow[d ^ 1] == 0:
-                    del path[idx:]
-                    v = tails[d]
-                    break
+            # the limit did not clamp: retreat to the first dart emptied
+            idx = residuals.index(bottleneck)
+            v = tails[path[idx]]
+            del path[idx:]
             continue
         rv = rot[v]
         want = dist[v] - 1
@@ -139,7 +166,7 @@ def blocking_flow(state: FlowState, s: int, t: int,
             path.append(d)
             v = tails[d ^ 1]
         elif v == s:
-            labels.relabel(state)
+            labels.relabel(state, s)
             dist = labels.dist
             ptr = labels.ptr
         else:
@@ -182,8 +209,8 @@ def max_st_flow(state: FlowState, s: int, t: int,
     With `limit`, at most that many units are added, so the return value
     is ``min(limit, residual max-flow value s -> t)``. `labels` are the
     `SinkLabels` of `t` shared with earlier pushes into `t`; a source
-    whose label is infinite returns 0 without calling the engine, which
-    is `blocking_flow` when `engine` is None.
+    labelled n (cut off from `t`) returns 0 without calling the engine,
+    which is `blocking_flow` when `engine` is None.
     """
     if s == t:
         raise ValueError("source and sink must differ")

@@ -20,12 +20,15 @@ not optimal in general.
 
 Sequential saturation, the recursion's base case and phase 2 are one
 push loop (``_saturate``). It keeps, for the loop, one ``SinkLabels`` per
-sink (see ``maxflow``): distances to that sink from one reverse BFS,
-shared by every push into it and redone only when a push is blocked. A
-push from a vertex whose label is infinite returns 0 without a search.
-A push that adds flow into one sink discards the labels of the sinks
-after it, which are recomputed before they are used again. The flows
-found are those of the same loop with a fresh Dinic search per push.
+sink (see ``maxflow``): distances to that sink from one reverse BFS that
+stops at the level of the vertex that pushes, lower bounds beyond it,
+shared by every push into that sink and redone only when a push is
+blocked. A push from a vertex labelled n, which cannot reach the sink,
+returns 0 without a search; one from a vertex beyond the stopped search
+finds no path until its blocked search relabels. A push that adds flow
+into one sink discards the labels of the sinks after it, which are
+recomputed before they are used again. The flows found are those of the
+same loop with a fresh Dinic search per push.
 
 Both solvers take an `engine`, a callable with the signature of
 ``maxflow.blocking_flow`` (None means that engine), and a `trace`, a
@@ -87,8 +90,9 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
     ``sinks[j]`` only once it cannot reach any earlier sink t. The
     vertices that cannot reach t are closed under residual arcs, and
     that set holds the whole augmenting path, so the push adds and
-    removes arcs only inside it: it changes no distance to t, and no arc
-    of a vertex outside the set, whose current-arc pointers stay valid.
+    removes arcs only inside it: it changes no distance to t, no label
+    of t stops being a lower bound, and no arc of a vertex outside the
+    set changes, whose current-arc pointers stay valid.
     """
     labels = [SinkLabels(t) for t in sinks]
     for p in vertices:

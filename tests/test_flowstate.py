@@ -269,3 +269,79 @@ def test_conversion_preserves_value_and_excess_budget(seed):
     terminals = set(inst.sources) | set(inst.sinks)
     assert all(ex[v] == 0 for v in range(inst.graph.vertex_count)
                if v not in terminals)
+
+
+def _random_trail(state, rng, closed):
+    """A random walk along residual darts that uses each edge at most once;
+    with `closed`, one that ends where it starts, or None if none was met."""
+    g = state.graph
+    start = v = rng.randrange(g.vertex_count)
+    walk, used = [], set()
+    for _ in range(rng.randint(1, 30)):
+        darts = [d for d in g.rotations[v]
+                 if state.residual(d) > 0 and d >> 1 not in used]
+        if not darts:
+            break
+        d = rng.choice(darts)
+        walk.append(d)
+        used.add(d >> 1)
+        v = g.head(d)
+        if closed and v == start:
+            return walk
+    return None if closed else walk
+
+
+def test_push_path_matches_pushing_each_dart():
+    """Along random walks and closed walks, some cancelling reverse flow,
+    one call leaves the flow and excess of one push per dart in turn."""
+    rng = random.Random(7)
+    checked = {False: 0, True: 0}
+    for seed in range(12):
+        kind = "grid" if seed % 2 else "triangulation"
+        inst = generate_instance(kind, 40, seed, 9, 2)
+        state = FlowState.from_instance(inst)
+        _random_pushes(state, rng, 30, starts=list(range(inst.graph.vertex_count)))
+        for _ in range(40):
+            closed = rng.random() < 0.5
+            walk = _random_trail(state, rng, closed)
+            if not walk:
+                continue
+            amount = rng.randint(1, min(state.residual(d) for d in walk))
+            one_by_one = FlowState(inst.graph, inst.capacities, state.flow)
+            for d in walk:
+                one_by_one.push(d, amount)
+            state.push_path(walk, amount)
+            assert state.flow == one_by_one.flow
+            assert state.excess == one_by_one.excess == _naive_excess(state)
+            checked[closed] += 1
+    assert min(checked.values()) > 20
+
+
+def test_push_path_rejects_and_changes_nothing():
+    """An amount above a dart's residual, a negative amount, darts that do
+    not form a walk, an edge used twice and an empty walk all raise
+    ValueError and leave flow and excess as they were."""
+    g = grid_graph(1, 4)  # the path 0 - 1 - 2 - 3, darts 0, 2, 4 eastward
+    state = FlowState(g, [5, 5, 2, 2, 5, 5])
+    state.push(4, 1)
+    walk = [0, 2, 4]
+    assert [state.residual(d) for d in walk] == [5, 2, 4]
+    flow, excess = list(state.flow), list(state.excess)
+    for darts, amount in ((walk, 3), (walk, -1), ([0, 4], 1), ([2, 0], 1),
+                          ([0, 1], 1), ([], 1)):
+        with pytest.raises(ValueError):
+            state.push_path(darts, amount)
+        assert state.flow == flow and state.excess == excess
+    state.push_path(walk, 2)
+    assert state.flow == [2, 0, 2, 0, 3, 0]
+    assert state.excess == [-2, 0, -1, 3]  # vertex 2 still sends the 1 unit
+
+
+def test_push_path_of_zero_changes_nothing():
+    g = grid_graph(1, 3)
+    state = FlowState(g, [4, 0, 0, 4])  # dart 2 is one-way against the walk
+    state.push(0, 3)
+    flow, excess = list(state.flow), list(state.excess)
+    state.push_path([0, 2], 0)
+    state.push_path([3, 1], 0)
+    assert state.flow == flow and state.excess == excess

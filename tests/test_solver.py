@@ -1,12 +1,13 @@
 import hashlib
 import random
+from collections import deque
 
 import pytest
 
 from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
                         TooManySinks, build_graph, divide, flow_value,
                         generate_instance, grid_graph, is_max_preflow,
-                        load_fig1_fixture, oracle_value,
+                        load_fig1_fixture, max_st_flow, oracle_value,
                         pairwise_arbitrary_saturation,
                         parse_instance, piece_maxflow, root_piece,
                         sequential_saturation, solve_recursive,
@@ -342,10 +343,10 @@ def test_sequential_shares_reverse_searches_across_pushes(monkeypatch):
     relabels = 0
     relabel = SinkLabels.relabel
 
-    def counting_relabel(self, state):
+    def counting_relabel(self, state, s=None):
         nonlocal relabels
         relabels += 1
-        relabel(self, state)
+        relabel(self, state, s)
 
     class Pushes(SolveTrace):
         count = 0
@@ -360,6 +361,82 @@ def test_sequential_shares_reverse_searches_across_pushes(monkeypatch):
     assert flow_value(state, inst.sinks) == oracle_value(inst)
     assert pushes.count == 40
     assert 0 < relabels < pushes.count
+
+
+def _distances_to(state, t):
+    """Residual distance of every vertex to `t` by a plain BFS; the vertex
+    count where `t` is unreachable."""
+    g = state.graph
+    n = g.vertex_count
+    dist = [n] * n
+    dist[t] = 0
+    queue = deque([t])
+    while queue:
+        w = queue.popleft()
+        for d in g.rotations[w]:
+            u = g.head(d)
+            if dist[u] == n and state.residual(d ^ 1) > 0:
+                dist[u] = dist[w] + 1
+                queue.append(u)
+    return dist
+
+
+def test_stopped_labels_agree_with_a_full_search(monkeypatch):
+    """After every relabel in both solvers' push loops, limited pushes,
+    several sinks and one-way and 10^12 arcs included: each vertex within
+    ``dist[s]`` of the sink is labelled exactly, every other label is at
+    most the true distance, a label n marks a vertex that cannot reach the
+    sink, and a search that finds `s` cut off labels every such vertex n."""
+    relabel = SinkLabels.relabel
+    seen = {"stopped": 0, "ran out": 0, "limited": 0}
+    limited = False
+
+    def checked_relabel(self, state, s=None):
+        relabel(self, state, s)
+        n = state.graph.vertex_count
+        true = _distances_to(state, self.t)
+        reach = self.dist[s]
+        for v in range(n):
+            if true[v] <= reach:
+                assert self.dist[v] == true[v], f"vertex {v} mislabelled"
+            else:
+                assert self.dist[v] <= true[v], f"vertex {v} overestimated"
+        labelled_n = {v for v in range(n) if self.dist[v] == n}
+        cut_off = {v for v in range(n) if true[v] == n}
+        assert labelled_n <= cut_off
+        if reach == n:
+            assert labelled_n == cut_off
+        seen["ran out" if reach == n else "stopped"] += 1
+        seen["limited"] += limited
+
+    def engine(state, s, t, limit=None, labels=None):
+        nonlocal limited
+        limited = limit is not None
+        return blocking_flow(state, s, t, limit, labels)
+
+    monkeypatch.setattr(SinkLabels, "relabel", checked_relabel)
+    for i, base in enumerate(corpus(20, seed0=1000, max_n=60, extra_sinks=2)):
+        inst = _with_zero_and_big_darts(base, 5000 + i)
+        sequential_saturation(inst, engine=engine)
+        solve_recursive(inst, DivisionParams(r=12), engine=engine)
+    assert min(seen.values()) > 0, seen
+
+
+def test_push_next_to_the_sink_stops_the_reverse_search():
+    """On a 2 x 40 grid, a push from a neighbour of the sink labels exactly
+    only the vertices within one arc of it and every other vertex 2, not
+    its true distance; a relabel without a source searches in full."""
+    g = grid_graph(2, 40)
+    state = FlowState(g, [5] * g.dart_count)
+    t, s = 0, 1
+    labels = SinkLabels(t)
+    assert max_st_flow(state, s, t, limit=3, labels=labels) == 3
+    true = _distances_to(state, t)
+    assert max(true) == 40
+    assert [v for v in range(g.vertex_count) if labels.dist[v] < 2] == [0, 1, 40]
+    assert all(labels.dist[v] == min(true[v], 2) for v in range(g.vertex_count))
+    labels.relabel(state)
+    assert labels.dist == true
 
 
 def _solve_both(inst, engine, trace=solver.NO_TRACE):
