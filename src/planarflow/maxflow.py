@@ -72,15 +72,14 @@ class SinkLabels:
         self.dist: list[int] | None = None
         self.ptr: list[int] | None = None
 
-    def relabel(self, state: FlowState, s: int | None = None) -> None:
+    def relabel(self, state: FlowState, s: int) -> None:
         """Distances to `t` by one reverse BFS that stops once every
         vertex within ``dist[s]`` of `t` is reached; resets the
         current-arc pointers.
 
         Reached vertices get their exact distance and every other vertex
-        ``dist[s] + 1``, a lower bound. A search that runs out first, as
-        it always does without `s`, labels every vertex exactly, ``n``
-        where `t` is unreachable.
+        ``dist[s] + 1``, a lower bound. A search that runs out first
+        labels every vertex exactly, ``n`` where `t` is unreachable.
         """
         g = state.graph
         rot = g.rotations
@@ -93,7 +92,7 @@ class SinkLabels:
         reached = [self.t]
         for w in reached:  # the list grows behind the loop: a FIFO queue
             nxt = dist[w] + 1
-            if s is not None and nxt > dist[s]:
+            if nxt > dist[s]:
                 # every vertex within dist[s] of t is reached: the rest
                 # lie at nxt or beyond
                 exact = dist
