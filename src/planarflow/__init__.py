@@ -1,7 +1,7 @@
 """Max flow from many sources to a bounded sink set on embedded planar graphs."""
 
-from .decomposition import (AttachedSinks, Division, DivisionParams, Hole,
-                            Piece, attach_super_sinks, cycle_separator, divide,
+from .decomposition import (Division, DivisionParams, Hole, Piece,
+                            attach_super_sinks, cycle_separator, divide,
                             division_tree, root_piece, triangulate)
 from .embedding import (EmbeddedGraph, Subgraph, build_graph, induced_subgraph,
                         insert_vertices_in_faces)

@@ -121,7 +121,7 @@ class _CliTrace(SolveTrace):
     def phase2_done(self, instance, state):
         self._dump("phase2", state, instance.sinks)
 
-    def phase3_done(self, instance, state, preflow_value):
+    def phase3_done(self, instance, state):
         self._dump("phase3", state, instance.sinks)
 
     def division_made(self, instance, division, depth: int = 0):

@@ -3,13 +3,15 @@
 A piece is a subgraph of a level graph together with its boundary (the
 vertices shared with other pieces or marked terminal) and its holes (the
 faces not inherited from the level graph, plus degenerate single-vertex
-holes for boundary vertices not lying on any such face). Divisions split
-a piece with balanced cycle separators until every subpiece satisfies the
-size, boundary and hole bounds. A disconnected root piece, or side of a
-separator, is split into its components (``embedding.components``) before
-any subgraph is built (subpieces of a connected piece stay connected), and
-holes are computed only for pieces within the size and boundary bounds,
-so every finished piece has them.
+holes for boundary vertices not lying on any such face). ``divide`` takes
+a level ``Instance`` and splits its root piece (the whole graph, with the
+sinks as boundary) with balanced cycle separators until every subpiece
+satisfies the size, boundary and hole bounds. A disconnected level, or
+side of a separator, is split into its components
+(``embedding.components``) before any subgraph is built (subpieces of a
+connected piece stay connected), and holes are computed, against the
+level graph, only for pieces within the size and boundary bounds, so
+every finished piece has them.
 
 Separators are fundamental cycles of a BFS tree in a scratch copy whose
 faces are fanned into triangles in one pass and one ``embedding.splice``.
@@ -18,7 +20,8 @@ darts. Candidates are ranked by dual-tree subtree weights, the two sides
 of a candidate come from the dual subtree under its non-tree edge, and
 the 2/3 balance of both sides is checked exactly before use.
 
-A super sink is embedded inside each hole of a piece by
+``attach_super_sinks`` turns a piece into an ``Instance`` of its own: the
+given sources against one super sink per hole, each embedded by
 ``embedding.insert_vertices_in_faces``, from the first dart into each
 anchor along one walk of the hole's face.
 """
@@ -272,7 +275,6 @@ class Piece:
     """
 
     graph: EmbeddedGraph
-    parent: EmbeddedGraph
     to_parent_vertex: list[int]
     to_parent_edge: list[int]
     boundary: frozenset[int]
@@ -346,17 +348,18 @@ def division_tree(division: Division, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _compute_holes(graph: EmbeddedGraph, to_parent_dart, parent: EmbeddedGraph,
-                   boundary: frozenset[int]):
-    """Holes of a piece: non-inherited faces carrying boundary vertices,
-    plus degenerate holes for boundary vertices not covered by them."""
-    up = [to_parent_dart(d) for d in range(graph.dart_count)]
-    rot_next, parent_rot_next = graph._rot_next, parent._rot_next
+def _compute_holes(piece: Piece, level: EmbeddedGraph):
+    """Holes of a piece of `level`: non-inherited faces carrying boundary
+    vertices, plus degenerate holes for boundary vertices not covered by
+    them."""
+    graph, boundary = piece.graph, piece.boundary
+    up = [piece.to_parent_dart(d) for d in range(graph.dart_count)]
+    rot_next, level_rot_next = graph._rot_next, level._rot_next
     tails = graph.dart_tails
     entries: list[Hole] = []
     for fid, walk in enumerate(graph.faces):
-        # a face is inherited when each step of its walk is a parent step
-        if all(parent_rot_next[up[d] ^ 1] == up[rot_next[d ^ 1]] for d in walk):
+        # a face is inherited when each step of its walk is a level step
+        if all(level_rot_next[up[d] ^ 1] == up[rot_next[d ^ 1]] for d in walk):
             continue
         anchors = []
         seen = set()
@@ -397,7 +400,6 @@ def root_piece(instance: Instance) -> Piece:
     boundary = frozenset(instance.sinks)
     return Piece(
         graph=g,
-        parent=g,
         to_parent_vertex=list(range(g.vertex_count)),
         to_parent_edge=list(range(g.edge_count)),
         boundary=boundary,
@@ -417,22 +419,23 @@ def _make_subpiece(piece: Piece, kept_local, extra_boundary=()) -> Piece:
     boundary = frozenset(
         idx[v] for v in set(extra_boundary) | (set(piece.boundary) & idx.keys()))
     sources = frozenset(idx[v] for v in piece.sources if v in idx)
-    return Piece(sub.graph, piece.parent, to_parent_vertex, to_parent_edge,
-                 boundary, sources)
+    return Piece(sub.graph, to_parent_vertex, to_parent_edge, boundary, sources)
 
 
-def divide(piece: Piece, params: DivisionParams) -> Division:
-    """Split a piece until every subpiece meets the three division bounds.
+def divide(instance: Instance, params: DivisionParams) -> Division:
+    """Split a level instance's graph, as its root piece, until every
+    subpiece meets the three division bounds.
 
     Splits target the first violated criterion in the cyclic order (size,
     boundary, holes), weighting the separator accordingly: unit weights,
     weight on boundary vertices, or weight on one representative per hole.
-    A disconnected input piece is split into its components first, and
+    A disconnected level is split into its components first, and
     each side of a separator (with the cycle) before any graph is built,
     so every queued subpiece is connected. Holes are computed only for
     subpieces within the size and boundary bounds, which every finished
     piece is.
     """
+    piece = root_piece(instance)
     n0 = piece.size
     if n0 <= params.r:
         raise InvalidParams(f"piece of size {n0} needs no division (r={params.r})")
@@ -456,8 +459,7 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
             for v in q.boundary:
                 weights[v] = 1
         else:
-            q.holes, q.external = _compute_holes(
-                q.graph, q.to_parent_dart, q.parent, q.boundary)
+            q.holes, q.external = _compute_holes(q, instance.graph)
             if len(q.holes) <= hole_bound:
                 finished.append(q)
                 continue
@@ -490,28 +492,17 @@ def divide(piece: Piece, params: DivisionParams) -> Division:
 # -- super sinks -------------------------------------------------------------
 
 
-@dataclass
-class AttachedSinks:
-    """Piece graph with one super sink embedded per hole (and external face)."""
-
-    graph: EmbeddedGraph
-    capacities: list[int]
-    super_sinks: list[int]
-
-
-def attach_super_sinks(piece: Piece,
-                       capacities: list[int] | None = None) -> AttachedSinks:
-    """Embed a super sink inside every hole (and the external face when it
-    carries boundary vertices), linked to each anchor by a never-bottleneck
-    arc. Dart ids of the piece are preserved, so `capacities` (per piece
-    dart) carries over; new arcs get capacity sum+1 toward the sink, 0 back.
+def attach_super_sinks(piece: Piece, capacities: list[int],
+                       sources: list[int]) -> Instance:
+    """The piece as an instance of its own: `sources` (piece-local) against
+    one super sink inside every hole, and inside the external face when it
+    carries boundary vertices, linked to each anchor by a never-bottleneck
+    arc. Dart ids of the piece are preserved, so `capacities` (one per piece
+    dart, else ValueError) carries over; new arcs get capacity sum+1 toward
+    the sink, 0 back. The super sinks are the instance's sinks, in hole
+    order with the external face last.
     """
     g = piece.graph
-    caps = list(capacities) if capacities is not None else [0] * g.dart_count
-    if len(caps) != g.dart_count:
-        raise ValueError("one capacity per piece dart required")
-    never_bottleneck = sum(caps) + 1
-
     entries = list(piece.holes)
     if piece.external is not None:
         entries.append(piece.external)
@@ -521,6 +512,7 @@ def attach_super_sinks(piece: Piece,
         first = {g.head(d): d for d in reversed(g.faces[h.face])}
         corner_lists.append([first[v] for v in h.anchors])
     grown = insert_vertices_in_faces(g, corner_lists)
-    caps.extend([never_bottleneck, 0] * (grown.edge_count - g.edge_count))
-    return AttachedSinks(grown, caps,
-                         list(range(g.vertex_count, grown.vertex_count)))
+    never_bottleneck = sum(capacities) + 1
+    caps = capacities + [never_bottleneck, 0] * (grown.edge_count - g.edge_count)
+    return Instance(grown, caps, list(sources),
+                    list(range(g.vertex_count, grown.vertex_count)))

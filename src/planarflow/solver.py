@@ -5,9 +5,11 @@ Two independent algorithms are provided:
 * ``sequential_saturation`` exhausts each source against every sink on the
   residual graph, in the given order; grouping all sinks per source makes
   the final flow maximum regardless of order.
-* ``solve_recursive`` divides the graph into hole-bounded pieces and runs,
-  per piece that holds a source, a three-phase push: interior sources to
-  the piece boundary (recursively, against per-hole super sinks),
+* ``solve_recursive`` divides each level instance into hole-bounded
+  pieces (``divide``) and runs, per piece that holds a source, a
+  three-phase push: interior sources to the piece boundary (by solving,
+  recursively, the sub-instance ``attach_super_sinks`` makes of the
+  piece's residual graph, with one super sink per hole),
   boundary vertices to the sinks (sources unbounded, others limited by
   their accumulated excess), and a preflow-to-flow conversion. Each
   conversion leaves no excess off the terminals and no flow cycle, so the
@@ -39,10 +41,9 @@ receive the ``Instance`` of the level the piece belongs to.
 
 from __future__ import annotations
 
-from .decomposition import (DivisionParams, Piece, attach_super_sinks, divide,
-                            root_piece)
+from .decomposition import DivisionParams, Piece, attach_super_sinks, divide
 from .errors import CannotSatisfyBounds, SeparatorFailed, TooManySinks
-from .flowstate import FlowState, cancel_flow_cycles, drain_excess, flow_value
+from .flowstate import FlowState, cancel_flow_cycles, drain_excess
 from .formats import Instance
 from .maxflow import SinkLabels, max_st_flow
 
@@ -54,7 +55,9 @@ class SolveTrace:
     solvers and phase 2 included, with the value it added (0 when the
     vertex's label showed it cannot reach the sink). ``phase2_done`` and
     ``phase3_done`` receive the level instance, whose graph and
-    capacities are those of `state`.
+    capacities are those of `state`. They fire on the same state with
+    no other hook between them, so the flow value after phase 2 is the
+    preflow value that phase 3 keeps.
     """
 
     def pair_saturated(self, state: FlowState, source: int, sink: int,
@@ -71,8 +74,7 @@ class SolveTrace:
     def phase2_done(self, instance: Instance, state: FlowState) -> None:
         pass
 
-    def phase3_done(self, instance: Instance, state: FlowState,
-                    preflow_value: int) -> None:
+    def phase3_done(self, instance: Instance, state: FlowState) -> None:
         pass
 
 
@@ -133,10 +135,11 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
 
     `state` lives on the piece's level graph; `instance` is that level,
     whose sources and sinks are the terminals. Phase 1 routes interior
-    sources to the piece boundary by solving a residual copy of the piece
-    against per-hole super sinks; phase 2 pushes from each boundary
-    vertex (ascending id) to each sink (ascending id), skipping vertices
-    known not to reach that sink; phase 3 restores conservation.
+    sources to the piece boundary by solving the sub-instance that
+    ``attach_super_sinks`` makes of the piece's residual capacities, its
+    interior sources and per-hole super sinks; phase 2 pushes from each
+    boundary vertex (ascending id) to each sink (ascending id), skipping
+    vertices known not to reach that sink; phase 3 restores conservation.
     """
     if params is None:
         params = DivisionParams()
@@ -148,10 +151,8 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
     if interior:
         caps = [state.residual(piece.to_parent_dart(d))
                 for d in range(piece.graph.dart_count)]
-        attached = attach_super_sinks(piece, caps)
-        if attached.super_sinks:
-            sub_instance = Instance(attached.graph, attached.capacities,
-                                    interior, attached.super_sinks)
+        sub_instance = attach_super_sinks(piece, caps, interior)
+        if sub_instance.sinks:
             sub_state = _solve(sub_instance, params, engine, trace, depth + 1)
             for e in range(piece.graph.edge_count):
                 net = sub_state.net_edge_flow(e)
@@ -162,13 +163,12 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
                     state.push(parent_dart | 1, -net)
             trace.phase1_done(piece, sub_instance, sub_state)
 
-    boundary = {piece.to_parent_vertex[v] for v in piece.boundary} - sink_set
+    boundary = piece.parent_boundary() - sink_set
     _saturate(state, sorted(boundary), source_set, ordered_sinks, engine, trace)
     trace.phase2_done(instance, state)
 
-    preflow_value = flow_value(state, ordered_sinks)
     drain_excess(state, source_set, sink_set, cancel_flow_cycles(state))
-    trace.phase3_done(instance, state, preflow_value)
+    trace.phase3_done(instance, state)
     return state
 
 
@@ -177,7 +177,7 @@ def _solve(instance: Instance, params: DivisionParams, engine,
     division = None
     if instance.graph.vertex_count > params.r and instance.sources:
         try:
-            division = divide(root_piece(instance), params)
+            division = divide(instance, params)
         except (CannotSatisfyBounds, SeparatorFailed):
             # Degenerate small levels (many super sinks on few vertices) can
             # defeat the bound machinery; source saturation stays correct.

@@ -19,7 +19,7 @@ from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
                         divide, flow_value, generate_instance, is_max_preflow,
                         load_fig1_fixture, max_st_flow,
                         pairwise_arbitrary_saturation, residual_reachable,
-                        root_piece, sequential_saturation, solve_recursive,
+                        sequential_saturation, solve_recursive,
                         oracle_value, validate_flow)
 
 
@@ -154,18 +154,23 @@ def test_criterion_5_saturated_cuts_stay_saturated():
 
 
 def test_criterion_6_conversion_preserves_value():
-    """Each piece's conversion yields a valid flow with the preflow value."""
+    """Each piece's conversion yields a valid flow with the preflow value,
+    the flow value when phase 2 ends."""
     failures = []
 
     class Check(SolveTrace):
         checked = 0
+        preflow_value = None
 
-        def phase3_done(self, instance, state, preflow_value):
+        def phase2_done(self, instance, state):
+            self.preflow_value = flow_value(state, instance.sinks)
+
+        def phase3_done(self, instance, state):
             Check.checked += 1
             report = validate_flow(instance, state)
             value = flow_value(state, instance.sinks)
-            if report or value != preflow_value:
-                failures.append((report[:1], value, preflow_value))
+            if report or value != self.preflow_value:
+                failures.append((report[:1], value, self.preflow_value))
 
     for inst in _acceptance_corpus(100, seed0=80_000, max_n=120):
         solve_recursive(inst, DivisionParams(r=32), trace=Check())
@@ -180,9 +185,8 @@ def _recursive_division_audit(instance, params):
     def recurse(inst):
         if inst.graph.vertex_count <= params.r:
             return
-        piece = root_piece(inst)
-        division = divide(piece, params)
-        n0 = piece.size
+        division = divide(inst, params)
+        n0 = inst.graph.vertex_count
         max_size = params.c_p * n0
         max_boundary = params.boundary_coeff * math.sqrt(params.c_p * n0)
         for sub in division.pieces:
@@ -194,11 +198,10 @@ def _recursive_division_audit(instance, params):
             if len(sub.holes) > params.hole_bound:
                 violations.append(
                     f"holes {len(sub.holes)} > {params.hole_bound}")
-            attached = attach_super_sinks(
-                sub, [1] * sub.graph.dart_count)
-            if attached.super_sinks:
-                recurse(Instance(attached.graph, attached.capacities,
-                                 [], attached.super_sinks))
+            sub_instance = attach_super_sinks(
+                sub, [1] * sub.graph.dart_count, [])
+            if sub_instance.sinks:
+                recurse(sub_instance)
 
     recurse(instance)
     return violations

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -221,6 +222,28 @@ def test_divisions_dump_written(tmp_path, capsys):
     text = dump.read_text()
     assert text.startswith("divide n=256")
     assert "[0] n=" in text
+
+
+def test_cli_dumps_are_pinned(tmp_path, capsys):
+    """The `--divisions` dump and the `--trace` snapshots (names and
+    bytes, in file-name order) of one recursive solve, hashed, so a
+    change to how a solve is organised cannot change what it reports."""
+    plem = tmp_path / "inst.plem"
+    run(["gen", "--kind", "grid", "--n", "256", "--seed", "4",
+         "--cap-max", "9", "--sources", "3", "-o", str(plem)], capsys)
+    dump = tmp_path / "divisions.txt"
+    trace_dir = tmp_path / "trace"
+    code, _, _ = run(["solve", str(plem), "--params", "r=32",
+                      "--divisions", str(dump), "--trace", str(trace_dir)],
+                     capsys)
+    assert code == 0
+    snaps = hashlib.sha256()
+    for snap in sorted(trace_dir.glob("*.pflo")):
+        snaps.update(snap.name.encode() + b"\n" + snap.read_bytes())
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "2509ee7716a971913a01099e0a3afe86329f8f3e374c22bf7640c69efd715eea")
+    assert snaps.hexdigest() == (
+        "bf1155bd548a9609459f347a8652ccfce2b63c790ab99dc7b5826a54ca966528")
 
 
 @pytest.mark.parametrize("extra", [[], ["--algorithm", "sequential"]],

@@ -129,7 +129,7 @@ def _path(k):
 
 def _divided_pieces():
     inst = unit_instance(grid_graph(16, 16))
-    return [p.graph for p in divide(root_piece(inst), DivisionParams(r=32)).pieces]
+    return [p.graph for p in divide(inst, DivisionParams(r=32)).pieces]
 
 
 @pytest.mark.parametrize("build", [
@@ -256,7 +256,7 @@ def test_root_piece_holes_match_the_face_walk():
     for inst in corpus(30, seed0=500, max_n=150, extra_sinks=2):
         g = inst.graph
         piece = root_piece(inst)
-        holes, external = dec._compute_holes(g, lambda d: d, g, piece.boundary)
+        holes, external = dec._compute_holes(piece, g)
         assert piece.holes == holes
         assert piece.external is external is None
 
@@ -264,14 +264,14 @@ def test_root_piece_holes_match_the_face_walk():
 def test_divide_rejects_small_pieces():
     inst = unit_instance(grid_graph(3, 3))
     with pytest.raises(InvalidParams):
-        divide(root_piece(inst), DivisionParams(r=100))
+        divide(inst, DivisionParams(r=100))
 
 
 def test_divide_bounds_on_32x32_grid():
     g = grid_graph(32, 32)
     inst = unit_instance(g, sources=(0,), sinks=(1023,))
     params = DivisionParams(c_p=0.5, sink_bound=4, r=64)
-    division = divide(root_piece(inst), params)
+    division = divide(inst, params)
     n0 = 1024
     max_size = params.c_p * n0
     max_boundary = params.boundary_coeff * math.sqrt(params.c_p * n0)
@@ -285,7 +285,7 @@ def test_divide_bounds_on_32x32_grid():
 def test_divide_covers_parent_exactly_once_in_interiors():
     g = grid_graph(16, 16)
     inst = unit_instance(g)
-    division = divide(root_piece(inst), DivisionParams(r=32))
+    division = divide(inst, DivisionParams(r=32))
     seen_interior: set[int] = set()
     seen_all: set[int] = set()
     separator_vertices = {v for cyc in division.separators for v in cyc}
@@ -303,7 +303,7 @@ def test_divide_covers_parent_exactly_once_in_interiors():
 def test_divide_single_face_cycle_piece():
     # a bare cycle still divides within hole bounds
     inst = unit_instance(_cycle_graph(40))
-    division = divide(root_piece(inst), DivisionParams(r=12))
+    division = divide(inst, DivisionParams(r=12))
     for piece in division.pieces:
         assert len(piece.holes) <= DivisionParams().hole_bound
 
@@ -330,10 +330,10 @@ def test_params_validation():
 def test_attach_super_sinks_no_boundary():
     inst = unit_instance(grid_graph(3, 3))
     piece = root_piece(inst)
-    bare = dec.Piece(piece.graph, piece.parent, piece.to_parent_vertex,
-                     piece.to_parent_edge, frozenset(), frozenset(), [], None)
-    attached = attach_super_sinks(bare)
-    assert attached.super_sinks == []
+    bare = dec.Piece(piece.graph, piece.to_parent_vertex, piece.to_parent_edge,
+                     frozenset(), frozenset(), [], None)
+    attached = attach_super_sinks(bare, [0] * piece.graph.dart_count, [])
+    assert attached.sinks == []
     assert attached.graph is piece.graph
 
 
@@ -343,16 +343,15 @@ def test_attach_super_sinks_single_hole():
     sub = induced_subgraph(g, [v for v in range(25) if v != 12])
     idx = sub.parent_vertex_index
     boundary = frozenset(idx[v] for v in (7, 11, 13, 17))
-    holes, external = dec._compute_holes(
-        sub.graph, lambda d: sub.to_parent_dart(d), g, boundary)
-    assert external is not None and len(external.anchors) == 4
-    assert holes == []
-    piece = dec.Piece(sub.graph, g, sub.to_parent_vertex, sub.to_parent_edge,
-                      boundary, frozenset(), holes, external)
+    piece = dec.Piece(sub.graph, sub.to_parent_vertex, sub.to_parent_edge,
+                      boundary, frozenset())
+    piece.holes, piece.external = dec._compute_holes(piece, g)
+    assert piece.external is not None and len(piece.external.anchors) == 4
+    assert piece.holes == []
     caps = [1] * sub.graph.dart_count
-    attached = attach_super_sinks(piece, caps)
-    assert len(attached.super_sinks) == 1
-    z = attached.super_sinks[0]
+    attached = attach_super_sinks(piece, caps, [])
+    assert len(attached.sinks) == 1
+    z = attached.sinks[0]
     assert len(attached.graph.rotations[z]) == 4
     ag = attached.graph
     assert ag.vertex_count - ag.edge_count + len(ag.faces) == 2
@@ -371,14 +370,16 @@ def test_attach_super_sinks_two_holes_plus_external():
     idx = sub.parent_vertex_index
     anchors = {9, 15, 17, 23, 25, 31, 33, 39, 1, 7}
     boundary = frozenset(idx[v] for v in anchors)
-    holes, external = dec._compute_holes(
-        sub.graph, lambda d: sub.to_parent_dart(d), g, boundary)
+    sources = [idx[24], idx[48]]  # interior: the centre and a far corner
+    piece = dec.Piece(sub.graph, sub.to_parent_vertex, sub.to_parent_edge,
+                      boundary, frozenset(sources))
+    holes, external = dec._compute_holes(piece, g)
     assert external is not None
     assert len(holes) == 2 and not any(h.degenerate for h in holes)
-    piece = dec.Piece(sub.graph, g, sub.to_parent_vertex, sub.to_parent_edge,
-                      boundary, frozenset(), holes, external)
-    attached = attach_super_sinks(piece, [1] * sub.graph.dart_count)
-    assert len(attached.super_sinks) == 3
+    piece.holes, piece.external = holes, external
+    attached = attach_super_sinks(piece, [1] * sub.graph.dart_count, sources)
+    assert attached.sources == sources
+    assert len(attached.sinks) == 3
     ag = attached.graph
     assert ag.vertex_count - ag.edge_count + len(ag.faces) == 2
 
@@ -391,7 +392,7 @@ def test_attach_super_sinks_two_holes_plus_external():
     assert batched.edges == one_by_one.edges == ag.edges
     assert batched.rotations == one_by_one.rotations == ag.rotations
     apexes = [sub.graph.vertex_count + i for i in range(3)]
-    assert attached.super_sinks == apexes
+    assert attached.sinks == apexes
     assert [len(batched.rotations[z]) for z in apexes] == [
         len(corners) for corners in corner_lists]
 
@@ -400,7 +401,7 @@ def test_attached_capacities_reject_wrong_length():
     inst = unit_instance(grid_graph(3, 3))
     piece = root_piece(inst)
     with pytest.raises(ValueError):
-        attach_super_sinks(piece, [1, 2, 3])
+        attach_super_sinks(piece, [1, 2, 3], [])
 
 
 def test_boundary_ratio_bounded_across_scales():
@@ -411,7 +412,7 @@ def test_boundary_ratio_bounded_across_scales():
     for n in (100, 1024, 10000):
         side = int(n ** 0.5)
         inst = unit_instance(grid_graph(side, side))
-        division = divide(root_piece(inst), params)
+        division = divide(inst, params)
         ratio = max(len(p.boundary) / math.sqrt(p.size)
                     for p in division.pieces)
         rows.append((side * side, round(ratio, 2)))
@@ -454,7 +455,7 @@ def _division_digest(division):
 def test_division_pieces_are_pinned(build, digest):
     """Every finished piece and separator of one division, hashed, so a
     change to how `divide` works cannot change what it returns."""
-    division = divide(root_piece(build()), DivisionParams())
+    division = divide(build(), DivisionParams())
     assert _division_digest(division) == digest
 
 
@@ -486,11 +487,11 @@ def test_divide_builds_each_side_once_and_walks_finished_holes(monkeypatch):
         queued.append(sub.graph.connected)
         return sub
 
-    piece = root_piece(generate_instance("grid", 900, 0, 100, 4))
+    inst = generate_instance("grid", 900, 0, 100, 4)
     monkeypatch.setattr(dec.EmbeddedGraph, "__init__", counting_init)
     monkeypatch.setattr(dec, "_compute_holes", counting_holes)
     monkeypatch.setattr(dec, "_make_subpiece", recording_subpiece)
-    division = divide(piece, DivisionParams())
+    division = divide(inst, DivisionParams())
     assert len(division.pieces) == 7
     assert builds == 12
     assert hole_walks == len(division.pieces)

@@ -136,7 +136,7 @@ def test_boundary_sources_reduce_to_sequential():
     """A piece whose sources all sit on its boundary skips phase 1; the
     result must match plain sequential saturation of those sources."""
     big = corpus(1, seed0=7000, max_n=100)[0]
-    division = divide(root_piece(big), DivisionParams(r=24))
+    division = divide(big, DivisionParams(r=24))
     piece = max(division.pieces, key=lambda pc: len(pc.boundary))
     boundary_parent = sorted(piece.parent_boundary() - set(big.sinks))[:3]
     assert boundary_parent
@@ -144,7 +144,7 @@ def test_boundary_sources_reduce_to_sequential():
 
     state = FlowState.from_instance(inst)
     test_piece = type(piece)(
-        piece.graph, piece.parent, piece.to_parent_vertex, piece.to_parent_edge,
+        piece.graph, piece.to_parent_vertex, piece.to_parent_edge,
         piece.boundary, frozenset(
             v for v in range(piece.size)
             if piece.to_parent_vertex[v] in boundary_parent),
@@ -155,11 +155,14 @@ def test_boundary_sources_reduce_to_sequential():
 
 
 def test_phase_hooks_fire_and_preserve_value():
+    """Phase 3 keeps the preflow value that phase 2 left, read in
+    `phase2_done` on the same state."""
     class Hooks(SolveTrace):
         def __init__(self):
             self.phase1 = 0
             self.phase2 = 0
             self.phase3 = 0
+            self.preflow_value = None
 
         def phase1_done(self, piece, sub_instance, sub_state):
             self.phase1 += 1
@@ -169,10 +172,11 @@ def test_phase_hooks_fire_and_preserve_value():
 
         def phase2_done(self, instance, state):
             self.phase2 += 1
+            self.preflow_value = flow_value(state, instance.sinks)
 
-        def phase3_done(self, instance, state, preflow_value):
+        def phase3_done(self, instance, state):
             self.phase3 += 1
-            assert flow_value(state, instance.sinks) == preflow_value
+            assert flow_value(state, instance.sinks) == self.preflow_value
             assert validate_flow(instance, state) == []
 
     hooks = Hooks()
@@ -198,7 +202,7 @@ def test_phase_hooks_receive_the_level_instance():
         def phase2_done(self, instance, state):
             self.seen.append(instance)
 
-        def phase3_done(self, instance, state, preflow_value):
+        def phase3_done(self, instance, state):
             self.seen.append(instance)
 
     inst = corpus(1, seed0=8000, max_n=150)[0]
@@ -512,10 +516,10 @@ def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
     fallbacks = 0
     divide_level = solver.divide
 
-    def counting_divide(piece, params):
+    def counting_divide(instance, params):
         nonlocal fallbacks
         try:
-            return divide_level(piece, params)
+            return divide_level(instance, params)
         except (CannotSatisfyBounds, SeparatorFailed):
             fallbacks += 1
             raise
@@ -536,11 +540,12 @@ def test_division_never_falls_back_with_default_bounds(monkeypatch, r):
     failures = []
     divide_level = solver.divide
 
-    def recording_divide(piece, params):
+    def recording_divide(instance, params):
         try:
-            return divide_level(piece, params)
+            return divide_level(instance, params)
         except (CannotSatisfyBounds, SeparatorFailed) as exc:
-            failures.append(f"piece of size {piece.size}: {exc}")
+            failures.append(
+                f"level of size {instance.graph.vertex_count}: {exc}")
             raise
 
     monkeypatch.setattr(solver, "divide", recording_divide)
@@ -570,9 +575,9 @@ def test_disconnected_instance_divides_into_connected_pieces(monkeypatch):
     divisions = []
     divide_level = solver.divide
 
-    def recording_divide(piece, params):
-        division = divide_level(piece, params)
-        divisions.append((piece.graph.component_count, division))
+    def recording_divide(instance, params):
+        division = divide_level(instance, params)
+        divisions.append((instance.graph.component_count, division))
         return division
 
     monkeypatch.setattr(solver, "divide", recording_divide)
