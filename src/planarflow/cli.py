@@ -129,7 +129,8 @@ class _CliTrace(SolveTrace):
             self.division_lines.append(division_tree(division, indent=depth))
 
     def finish(self) -> None:
-        """Write the division dump; it is empty when no division was made."""
+        """Write the division dump, also after a solver error; it is empty
+        when no division was made."""
         if self.divisions_path:
             _write_file(self.divisions_path,
                         "".join(line + "\n" for line in self.division_lines))
@@ -147,11 +148,12 @@ def cmd_solve(args) -> int:
         if args.algorithm == "recursive":
             state = solve_recursive(inst, params, trace=trace)
         else:
-            state = sequential_saturation(inst, trace=trace)
+            state = sequential_saturation(inst)
     except InvalidParams:
         raise  # a parameter error: main reports it with exit code 2
     except PlanarFlowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        trace.finish()
         return 3
     trace.finish()
     _write_out(write_flow(state.flow, flow_value(state, inst.sinks)), args.output)

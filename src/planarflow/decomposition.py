@@ -18,7 +18,10 @@ faces are fanned into triangles in one pass and one ``embedding.splice``.
 The copy may have parallel edges, so a fundamental cycle may have two
 darts. Candidates are ranked by dual-tree subtree weights, the two sides
 of a candidate come from the dual subtree under its non-tree edge, and
-the 2/3 balance of both sides is checked exactly before use.
+the 2/3 balance of both sides is checked exactly before use. A
+candidate is used only when both sides hold a vertex, so each side with
+the cycle is smaller than the piece; a graph without such a candidate
+(a triangle or a 4-cycle) raises ``SeparatorFailed``.
 
 ``attach_super_sinks`` turns a piece into an ``Instance`` of its own: the
 given sources against one super sink per hole, each embedded by
@@ -139,7 +142,9 @@ def _fundamental_cycle(tg: EmbeddedGraph, e: int, parent_dart, depth):
 
 
 def _separate(g: EmbeddedGraph, weights: list[int]):
-    """Balanced cycle separator: (cycle vertices, side A, side B).
+    """Balanced cycle separator: (cycle vertices, side A, side B), both
+    sides non-empty; SeparatorFailed when no candidate is balanced and
+    leaves vertices on both sides (on a triangle or a 4-cycle, say).
 
     The non-tree edges of a BFS tree form a spanning tree of the dual, and
     the fundamental cycle of a non-tree edge e encloses exactly the faces
@@ -198,10 +203,6 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
     def rank(e):
         return (abs(subtree[below[e]] - half), e)
 
-    # Prefer balanced candidates that leave vertices on both sides: a split
-    # that recreates the whole piece makes no division progress. Cycle-only
-    # graphs still get served by the empty-side fallback.
-    fallback = None
     for e in _by_rank(below, rank):
         cyc = _fundamental_cycle(tg, e, parent_dart, depth)
         inside = [False] * fcount
@@ -221,16 +222,11 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
                 (side_a if inside[rep_face[v]] == a_inside else side_b).append(v)
         wa = sum(weights[v] for v in side_a)
         wb = sum(weights[v] for v in side_b)
-        if not (total == 0 or (3 * wa <= 2 * total and 3 * wb <= 2 * total)):
-            continue
-        if side_a and side_b:
+        if side_a and side_b and (
+                total == 0 or (3 * wa <= 2 * total and 3 * wb <= 2 * total)):
             return cyc_vertices, side_a, side_b
-        if fallback is None:
-            fallback = (cyc_vertices, side_a, side_b)
-    if fallback is not None:
-        return fallback
-    raise SeparatorFailed(
-        f"no balanced fundamental cycle among {len(below)} candidates")
+    raise SeparatorFailed(f"no balanced fundamental cycle with two non-empty "
+                          f"sides among {len(below)} candidates")
 
 
 def _by_rank(candidates, rank):
@@ -242,11 +238,12 @@ def _by_rank(candidates, rank):
 
 def cycle_separator(g: EmbeddedGraph, weights: list[int] | None = None) -> list[int]:
     """Vertices of a simple cycle whose removal leaves no side heavier than
-    2/3 of the total weight.
+    2/3 of the total weight and vertices on both of its sides.
 
     The cycle lies in the fan-triangulated copy of `g`: consecutive
     vertices are joined by an edge or a chord, and two vertices joined by
-    parallel edges form a cycle.
+    parallel edges form a cycle. A graph with no such cycle, as a
+    triangle or a 4-cycle, raises SeparatorFailed.
     """
     if weights is None:
         weights = [1] * g.vertex_count
@@ -475,12 +472,8 @@ def divide(instance: Instance, params: DivisionParams) -> Division:
         separators.append([q.to_parent_vertex[v] for v in cycle])
         on_cycle = set(cycle)
         for side in (side_a, side_b):
+            # the other side is non-empty, so every subpiece is smaller
             kept = on_cycle.union(side)
-            if len(kept) >= q.size:
-                raise CannotSatisfyBounds(
-                    "separator made no progress on a piece "
-                    f"of size {q.size} (cycle {len(cycle)}, sides "
-                    f"{len(side_a)}/{len(side_b)})")
             for comp in components(q.graph, kept):
                 queue.append(_make_subpiece(
                     q, comp, extra_boundary=on_cycle.intersection(comp)))

@@ -34,9 +34,11 @@ same loop with a fresh Dinic search per push.
 
 Both solvers take an `engine`, a callable with the signature of
 ``maxflow.blocking_flow`` (None means that engine), and a `trace`, a
-``SolveTrace`` whose hooks every solve calls; a solve given no trace
-calls those of the shared no-op ``NO_TRACE``. Phase-2 and phase-3 hooks
-receive the ``Instance`` of the level the piece belongs to.
+``SolveTrace``. ``solve_recursive`` calls its hooks on every division
+and every piece; a solve given no trace calls those of the shared no-op
+``NO_TRACE``. Phase-2 and phase-3 hooks receive the ``Instance`` of the
+level the piece belongs to. ``sequential_saturation`` fires no hook: a
+push is observed through `engine`.
 """
 
 from __future__ import annotations
@@ -49,20 +51,13 @@ from .maxflow import SinkLabels, max_st_flow
 
 
 class SolveTrace:
-    """Observer hooks for solver internals; all methods default to no-ops.
+    """Observer hooks of the recursive solver; all methods default to no-ops.
 
-    ``pair_saturated`` fires after every push of the push loop, in both
-    solvers and phase 2 included, with the value it added (0 when the
-    vertex's label showed it cannot reach the sink). ``phase2_done`` and
-    ``phase3_done`` receive the level instance, whose graph and
-    capacities are those of `state`. They fire on the same state with
-    no other hook between them, so the flow value after phase 2 is the
-    preflow value that phase 3 keeps.
+    ``phase2_done`` and ``phase3_done`` receive the level instance, whose
+    graph and capacities are those of `state`. They fire on the same
+    state with no other hook between them, so the flow value after
+    phase 2 is the preflow value that phase 3 keeps.
     """
-
-    def pair_saturated(self, state: FlowState, source: int, sink: int,
-                       value: int) -> None:
-        pass
 
     def division_made(self, instance: Instance, division, depth: int = 0) -> None:
         pass
@@ -81,8 +76,7 @@ class SolveTrace:
 NO_TRACE = SolveTrace()
 
 
-def _saturate(state: FlowState, vertices, sources, sinks, engine,
-              trace: SolveTrace) -> None:
+def _saturate(state: FlowState, vertices, sources, sinks, engine) -> None:
     """Push each vertex in `vertices`, in order, to each sink, in order.
 
     A vertex in `sources` pushes unbounded; any other pushes at most its
@@ -107,15 +101,19 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
             if value:
                 for later in labels[j + 1:]:
                     later.dist = None
-            trace.pair_saturated(state, p, t, value)
 
 
 def sequential_saturation(instance: Instance, engine=None,
                           trace: SolveTrace = NO_TRACE) -> FlowState:
-    """Maximum flow by exhausting sources one at a time, in the given order."""
+    """Maximum flow by exhausting sources one at a time, in the given order.
+
+    It fires no hook; `trace` is accepted, and ignored, so that a caller
+    can pass one observer to both solvers (the benchmark's traced pass
+    does).
+    """
     state = FlowState.from_instance(instance)
     _saturate(state, instance.sources, set(instance.sources), instance.sinks,
-              engine, trace)
+              engine)
     return state
 
 
@@ -164,7 +162,7 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
             trace.phase1_done(piece, sub_instance, sub_state)
 
     boundary = piece.parent_boundary() - sink_set
-    _saturate(state, sorted(boundary), source_set, ordered_sinks, engine, trace)
+    _saturate(state, sorted(boundary), source_set, ordered_sinks, engine)
     trace.phase2_done(instance, state)
 
     drain_excess(state, source_set, sink_set, cancel_flow_cycles(state))
@@ -183,7 +181,7 @@ def _solve(instance: Instance, params: DivisionParams, engine,
             # defeat the bound machinery; source saturation stays correct.
             pass
     if division is None:
-        return sequential_saturation(instance, engine, trace)
+        return sequential_saturation(instance, engine)
     state = FlowState.from_instance(instance)
     trace.division_made(instance, division, depth)
     for piece in division.pieces:

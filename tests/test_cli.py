@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import planarflow.cli as cli
-from planarflow import parse_flow, parse_instance
+from planarflow import (Instance, generate_instance, parse_flow,
+                        parse_instance, write_instance)
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 9 0\nsrc 0\nsnk 1\n"
 
@@ -256,6 +257,22 @@ def test_divisions_dump_empty_without_a_division(extra, tmp_path, capsys):
     code, _, _ = run(["solve", str(plem), "--divisions", str(dump), *extra],
                      capsys)
     assert code == 0
+    assert dump.read_text() == ""
+
+
+def test_divisions_dump_written_on_a_solver_error(tmp_path, capsys):
+    """A solve that fails with exit code 3 (here: 8 sinks, above the
+    default bound of 6) still writes its division dump, empty because
+    no division was made."""
+    base = generate_instance("grid", 400, 0, 9, 3)
+    sinks = base.sinks + [v for v in range(8) if v not in base.sources][:7]
+    plem = tmp_path / "inst.plem"
+    plem.write_text(write_instance(
+        Instance(base.graph, base.capacities, base.sources, sinks)))
+    dump = tmp_path / "divisions.txt"
+    code, _, err = run(["solve", str(plem), "--divisions", str(dump)], capsys)
+    assert code == 3
+    assert err.startswith("solver error: 8 sinks exceed the bound 6")
     assert dump.read_text() == ""
 
 

@@ -7,9 +7,10 @@ import pytest
 
 import planarflow.decomposition as dec
 from planarflow import (DivisionParams, Instance, InvalidParams,
-                        attach_super_sinks, build_graph, cycle_separator,
-                        divide, generate_instance, grid_graph,
-                        induced_subgraph, insert_vertices_in_faces, root_piece,
+                        SeparatorFailed, attach_super_sinks, build_graph,
+                        cycle_separator, divide, generate_instance,
+                        grid_graph, induced_subgraph,
+                        insert_vertices_in_faces, root_piece,
                         stacked_triangulation, triangulate)
 from conftest import corpus
 
@@ -175,10 +176,12 @@ def test_triangulate_handles_piece_subgraphs():
 # -- separator ---------------------------------------------------------------
 
 
-def test_triangle_separator_is_a_face_cycle():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)], [[0, 5], [2, 1], [4, 3]])
-    cycle = cycle_separator(g)
-    assert sorted(cycle) == [0, 1, 2]
+def test_triangle_and_4_cycle_have_no_separator():
+    """Every fundamental cycle of a fan-triangulated triangle or 4-cycle
+    leaves one side empty, and such a cycle is no separator."""
+    for k in (3, 4):
+        with pytest.raises(SeparatorFailed):
+            cycle_separator(_cycle_graph(k))
 
 
 @pytest.mark.parametrize("k", [6, 12, 20])
@@ -230,6 +233,7 @@ def test_separator_sides_partition_and_split(build, weigh):
     g = build()
     weights = weigh() if weigh else [1] * g.vertex_count
     cycle, side_a, side_b = dec._separate(g, weights)
+    assert side_a and side_b
     assert sorted(cycle + side_a + side_b) == list(range(g.vertex_count))
     a, b = set(side_a), set(side_b)
     for u, v in g.edges:

@@ -84,25 +84,29 @@ def test_too_many_sinks_rejected():
 
 def test_outer_loop_monotonicity():
     """Once a source is exhausted, it stays maximal through all later
-    augmentations of the sequential solver."""
+    augmentations of the sequential solver. Only an engine call changes
+    the state (a push skipped for a dead label changes nothing), so the
+    sources before the pushing one are checked at the start of every
+    engine call, and all of them once the solve returns."""
+    checked = 0
 
-    class Monitor(SolveTrace):
-        def __init__(self, inst):
-            self.inst = inst
-            self.done_sources: list[int] = []
-            self.seen: dict[int, int] = {}
-
-        def pair_saturated(self, state, source, sink, value):
-            self.seen[source] = self.seen.get(source, 0) + 1
-            if self.seen[source] == len(self.inst.sinks):
-                self.done_sources.append(source)
-            for i in range(len(self.done_sources)):
-                prefix = self.done_sources[: i + 1]
-                ok, _ = is_max_preflow(state, prefix, self.inst.sinks)
-                assert ok, f"sources {prefix} regressed after ({source},{sink})"
+    def check(state, done, sinks):
+        nonlocal checked
+        for i in range(len(done)):
+            ok, _ = is_max_preflow(state, done[: i + 1], sinks)
+            assert ok, f"sources {done[: i + 1]} regressed"
+        checked += bool(done)
 
     for inst in corpus(8, seed0=5000, max_n=50, extra_sinks=1):
-        sequential_saturation(inst, trace=Monitor(inst))
+        order = inst.sources
+
+        def engine(state, s, t, limit=None, labels=None):
+            check(state, order[: order.index(s)], inst.sinks)
+            return blocking_flow(state, s, t, limit, labels)
+
+        state = sequential_saturation(inst, engine=engine)
+        check(state, order, inst.sinks)
+    assert checked
 
 
 def test_piece_with_no_sources_is_noop():
@@ -114,22 +118,31 @@ def test_piece_with_no_sources_is_noop():
     assert state.flow == [0, 0]
 
 
-def test_only_pieces_with_a_source_are_solved(monkeypatch):
+def test_only_pieces_with_a_source_are_solved():
     """`_solve` skips the pieces of a division that hold no source: their
-    three phases would move no flow (see the test above)."""
-    calls = []
-    solve_piece = solver.piece_maxflow
+    three phases would move no flow (see the test above). The phase hooks
+    fire once per piece with a source that `division_made` reports."""
 
-    def recording_piece(piece, *args, **kwargs):
-        calls.append(bool(piece.sources))
-        return solve_piece(piece, *args, **kwargs)
+    class Counts(SolveTrace):
+        pieces = with_source = phase2 = phase3 = 0
 
-    monkeypatch.setattr(solver, "piece_maxflow", recording_piece)
+        def division_made(self, instance, division, depth=0):
+            self.pieces += len(division.pieces)
+            self.with_source += sum(1 for p in division.pieces if p.sources)
+
+        def phase2_done(self, instance, state):
+            self.phase2 += 1
+
+        def phase3_done(self, instance, state):
+            self.phase3 += 1
+
+    counts = Counts()
     for inst in corpus(20, seed0=3000, max_n=150, extra_sinks=2):
-        state = solve_recursive(inst, DivisionParams(r=24))
+        state = solve_recursive(inst, DivisionParams(r=24), trace=counts)
         assert flow_value(state, inst.sinks) == oracle_value(inst)
         assert validate_flow(inst, state) == []
-    assert calls and all(calls)
+    assert 0 < counts.with_source < counts.pieces
+    assert counts.phase2 == counts.phase3 == counts.with_source
 
 
 def test_boundary_sources_reduce_to_sequential():
@@ -343,7 +356,8 @@ def test_sequential_skips_sources_cut_off_from_the_sink():
 
 
 def test_sequential_shares_reverse_searches_across_pushes(monkeypatch):
-    """One reverse search from the sink serves many pushes into it."""
+    """One reverse search from the sink serves many pushes into it: fewer
+    searches than (source, sink) pairs."""
     relabels = 0
     relabel = SinkLabels.relabel
 
@@ -352,19 +366,11 @@ def test_sequential_shares_reverse_searches_across_pushes(monkeypatch):
         relabels += 1
         relabel(self, state, s)
 
-    class Pushes(SolveTrace):
-        count = 0
-
-        def pair_saturated(self, state, source, sink, value):
-            self.count += 1
-
     monkeypatch.setattr(SinkLabels, "relabel", counting_relabel)
     inst = generate_instance("grid", 400, 0, 100, 40)
-    pushes = Pushes()
-    state = sequential_saturation(inst, trace=pushes)
+    state = sequential_saturation(inst)
     assert flow_value(state, inst.sinks) == oracle_value(inst)
-    assert pushes.count == 40
-    assert 0 < relabels < pushes.count
+    assert 0 < relabels < len(inst.sources) * len(inst.sinks)
 
 
 def _distances_to(state, t):
@@ -442,7 +448,7 @@ def test_push_next_to_the_sink_stops_the_reverse_search():
 
 
 def _solve_both(inst, engine, trace=solver.NO_TRACE):
-    sequential_saturation(inst, engine=engine, trace=trace)
+    sequential_saturation(inst, engine=engine)
     solve_recursive(inst, DivisionParams(r=24), engine=engine, trace=trace)
 
 
@@ -474,40 +480,43 @@ def test_no_vertex_is_searched_again_towards_a_sink():
 def test_dead_sets_stay_true_through_the_push_loop():
     """After every push, no vertex whose label is infinite reaches that
     label's sink, the kept labels of the running push loop's other sinks
-    included."""
+    included. Only an engine call changes the state or sets a label (a
+    push skipped for a dead label changes nothing), so each loop's labels
+    are checked at the start of every engine call and once more where the
+    loop ends: at `phase2_done`, or when the solve returns."""
     loops: dict[int, tuple[FlowState, dict[int, SinkLabels]]] = {}
+    checked = 0
 
     def check(state, loop):
+        nonlocal checked
         n = state.graph.vertex_count
-        for labels in loop:
+        for labels in loop.values():
             if labels.dist is None:
                 continue
             dead = {v for v in range(n) if labels.dist[v] == n}
             assert not dead & reaching(state, labels.t), \
                 f"a vertex known dead reaches {labels.t}"
+        checked += 1
 
     def engine(state, s, t, limit=None, labels=None):
         _, loop = loops.setdefault(id(state), (state, {}))
         loop[id(labels)] = labels
+        check(state, loop)
         return blocking_flow(state, s, t, limit, labels)
 
-    class AfterEveryPush(SolveTrace):
-        checked = 0
-
-        def pair_saturated(self, state, source, sink, value):
-            if id(state) in loops:
-                check(state, loops[id(state)][1].values())
-                self.checked += 1
-
+    class LoopEnds(SolveTrace):
         def phase2_done(self, instance, state):
             # phases 1 and 3 of the next piece change this state freely
-            loops.pop(id(state), None)
+            if id(state) in loops:
+                check(*loops.pop(id(state)))
 
-    trace = AfterEveryPush()
     for inst in corpus(30, seed0=1000, max_n=60, extra_sinks=2):
-        _solve_both(inst, engine, trace)
+        _solve_both(inst, engine, LoopEnds())
+        # the base cases' loops: their states are not pushed on again
+        for state, loop in loops.values():
+            check(state, loop)
         loops.clear()
-    assert trace.checked
+    assert checked
 
 
 def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
@@ -568,22 +577,19 @@ def _disjoint_union(a: Instance, b: Instance) -> Instance:
                     a.sinks + [t + n for t in b.sinks])
 
 
-def test_disconnected_instance_divides_into_connected_pieces(monkeypatch):
+def test_disconnected_instance_divides_into_connected_pieces():
     """Two disjoint grids as one instance: the root level is split into
     its components before any separator, every piece is connected, and
     the flow is maximum and valid."""
     divisions = []
-    divide_level = solver.divide
 
-    def recording_divide(instance, params):
-        division = divide_level(instance, params)
-        divisions.append((instance.graph.component_count, division))
-        return division
+    class Divisions(SolveTrace):
+        def division_made(self, instance, division, depth=0):
+            divisions.append((instance.graph.component_count, division))
 
-    monkeypatch.setattr(solver, "divide", recording_divide)
     inst = _disjoint_union(generate_instance("grid", 150, 1, 100, 5),
                            generate_instance("grid", 120, 2, 100, 4))
-    state = solve_recursive(inst, DivisionParams(r=24))
+    state = solve_recursive(inst, DivisionParams(r=24), trace=Divisions())
     assert flow_value(state, inst.sinks) == oracle_value(inst)
     assert validate_flow(inst, state) == []
     assert divisions[0][0] == 2
