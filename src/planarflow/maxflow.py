@@ -199,6 +199,33 @@ def residual_reachable(state: FlowState, source: int) -> set[int]:
     return seen
 
 
+def reaches_a_sink(state: FlowState, vertices, sinks) -> bool:
+    """Whether some vertex in `vertices` reaches a sink along residual
+    darts: one reverse search from `sinks`, with the dart test of
+    `SinkLabels.relabel`, that returns at the first such vertex."""
+    g = state.graph
+    rot = g.rotations
+    tails = g.dart_tails
+    cap = state.capacity
+    flow = state.flow
+    wanted = set(vertices)
+    seen = bytearray(g.vertex_count)
+    for t in sinks:
+        seen[t] = 1
+    reached = list(sinks)
+    for w in reached:  # the list grows behind the loop: a FIFO queue
+        for d in rot[w]:
+            r = d ^ 1  # the dart into w
+            if cap[r] - flow[r] + flow[d] > 0:
+                u = tails[r]
+                if not seen[u]:
+                    if u in wanted:
+                        return True
+                    seen[u] = 1
+                    reached.append(u)
+    return False
+
+
 def max_st_flow(state: FlowState, s: int, t: int,
                 engine: Engine | None = None,
                 limit: int | None = None,

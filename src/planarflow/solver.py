@@ -6,15 +6,20 @@ Two independent algorithms are provided:
   residual graph, in the given order; grouping all sinks per source makes
   the final flow maximum regardless of order.
 * ``solve_recursive`` divides each level instance into hole-bounded
-  pieces (``divide``) and runs, per piece that holds a source, a
-  three-phase push: interior sources to the piece boundary (by solving,
-  recursively, the sub-instance ``attach_super_sinks`` makes of the
-  piece's residual graph, with one super sink per hole),
-  boundary vertices to the sinks (sources unbounded, others limited by
-  their accumulated excess), and a preflow-to-flow conversion. Each
-  conversion leaves no excess off the terminals and no flow cycle, so the
-  phases of a piece without a source would move nothing; such pieces are
-  skipped, hooks included.
+  pieces (``divide``) and runs, per piece, a three-phase push: interior
+  sources to the piece boundary (by solving, recursively, the
+  sub-instance ``attach_super_sinks`` makes of the piece's residual
+  graph, with one super sink per hole), boundary vertices to the sinks
+  (sources unbounded, others limited by their accumulated excess), and a
+  preflow-to-flow conversion. The phases, hooks included, run only for a
+  piece with a source that still reaches a sink at its turn; one reverse
+  residual search from the level's sinks (``reaches_a_sink``) tells.
+  That is safe by the loop's invariant: the state is a flow, since each
+  conversion leaves no excess off the terminals and no flow cycle, and
+  no source of a piece handled so far reaches a sink. The vertices that
+  reach no sink are closed under residual arcs, so a piece whose sources
+  all lie among them already satisfies the invariant, and its phases
+  would move nothing to a sink.
 
 ``pairwise_arbitrary_saturation`` saturates explicit (source, sink) pairs
 in a given order; it exists to demonstrate that ungrouped pair orders are
@@ -47,7 +52,7 @@ from .decomposition import DivisionParams, Piece, attach_super_sinks, divide
 from .errors import CannotSatisfyBounds, SeparatorFailed, TooManySinks
 from .flowstate import FlowState, cancel_flow_cycles, drain_excess
 from .formats import Instance
-from .maxflow import SinkLabels, max_st_flow
+from .maxflow import SinkLabels, max_st_flow, reaches_a_sink
 
 
 class SolveTrace:
@@ -185,8 +190,14 @@ def _solve(instance: Instance, params: DivisionParams, engine,
     state = FlowState.from_instance(instance)
     trace.division_made(instance, division, depth)
     for piece in division.pieces:
-        # phase 3 leaves no stray excess or cycle: sourceless pieces do nothing
-        if piece.sources:
+        # Invariant: the state is a flow (phase 3 leaves no stray excess),
+        # and no source of a piece handled so far reaches a sink. The
+        # vertices that reach no sink are closed under residual arcs, so a
+        # piece whose sources all lie among them already satisfies it, and
+        # its phases would move nothing to a sink: skip it, hooks included.
+        if piece.sources and reaches_a_sink(
+                state, [piece.to_parent_vertex[v] for v in piece.sources],
+                instance.sinks):
             piece_maxflow(piece, state, instance, params, engine, trace, depth)
     return state
 

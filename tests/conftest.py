@@ -45,6 +45,16 @@ def reaching(state, t: int) -> set[int]:
     return seen
 
 
+def thin_sources(inst: Instance) -> Instance:
+    """The instance with capacity 1 on every dart out of a source and 10^6
+    on every other dart."""
+    sources = set(inst.sources)
+    tail = inst.graph.tail
+    caps = [1 if tail(d) in sources else 10 ** 6
+            for d in range(inst.graph.dart_count)]
+    return Instance(inst.graph, caps, inst.sources, inst.sinks)
+
+
 def relabel(inst: Instance, rng: random.Random) -> Instance:
     """Apply a random vertex permutation; dart ids stay fixed."""
     from planarflow import build_graph

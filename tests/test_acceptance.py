@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
+"""Acceptance suite: one test per criterion, one printed PASS/FAIL line each,
+and one more that runs criteria 4 and 6's checks on thin sources.
 
 Run with ``pytest -v -s tests/test_acceptance.py``. All flow-value checks
 are exact integer comparisons; the scaling criterion is reported, not
@@ -21,6 +22,7 @@ from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
                         pairwise_arbitrary_saturation, residual_reachable,
                         sequential_saturation, solve_recursive,
                         oracle_value, validate_flow)
+from conftest import thin_sources
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -176,6 +178,47 @@ def test_criterion_6_conversion_preserves_value():
         solve_recursive(inst, DivisionParams(r=32), trace=Check())
     _report("criterion-6 preflow-to-flow-conversion", not failures,
             f"{Check.checked} piece conversions, {len(failures)} violations")
+
+
+def test_phase_checks_on_thin_sources():
+    """Criteria 4 and 6's checks on thin-source versions of their corpora
+    (capacity 1 out of every source, 10^6 elsewhere). A piece whose
+    sources reach no sink fires no phase hook, and on the plain corpora
+    most pieces are cut off that way; here few are, so the phase-2 and
+    phase-3 states the checks see stay many."""
+    failures = []
+
+    class Check(SolveTrace):
+        def __init__(self):
+            self.phase2 = self.phase3 = 0
+            self.preflow_value = None
+
+        def phase2_done(self, instance, state):
+            self.phase2 += 1
+            self.preflow_value = flow_value(state, instance.sinks)
+            claimed, _ = is_max_preflow(state, instance.sources, instance.sinks)
+            if claimed != (self.preflow_value == oracle_value(instance)):
+                failures.append(("criterion 4", instance.graph.vertex_count))
+
+        def phase3_done(self, instance, state):
+            self.phase3 += 1
+            if (validate_flow(instance, state)
+                    or flow_value(state, instance.sinks) != self.preflow_value):
+                failures.append(("criterion 6", instance.graph.vertex_count))
+
+    checks = []
+    for seed0, max_n in ((40_000, 100), (80_000, 120)):
+        check = Check()
+        for inst in _acceptance_corpus(100, seed0=seed0, max_n=max_n):
+            solve_recursive(thin_sources(inst), DivisionParams(r=32),
+                            trace=check)
+        checks.append(check)
+    _report("thin-source phase checks",
+            not failures and all(c.phase2 for c in checks),
+            "; ".join(f"criterion {k}'s corpus: {c.phase2} phase-2 states, "
+                      f"{c.phase3} conversions"
+                      for k, c in zip((4, 6), checks)) +
+            f"; {len(failures)} violations")
 
 
 def _recursive_division_audit(instance, params):

@@ -242,9 +242,9 @@ def test_cli_dumps_are_pinned(tmp_path, capsys):
     for snap in sorted(trace_dir.glob("*.pflo")):
         snaps.update(snap.name.encode() + b"\n" + snap.read_bytes())
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
-        "2509ee7716a971913a01099e0a3afe86329f8f3e374c22bf7640c69efd715eea")
+        "8baf6824f91822e60815ecece8595df505197d5cb4c47e94ccd0233b5608cdcb")
     assert snaps.hexdigest() == (
-        "bf1155bd548a9609459f347a8652ccfce2b63c790ab99dc7b5826a54ca966528")
+        "cf59951440751f0a00b2fbc9db96132cb84dd7336a32b50987817c1213535be7")
 
 
 @pytest.mark.parametrize("extra", [[], ["--algorithm", "sequential"]],

@@ -15,7 +15,7 @@ from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
 from planarflow import solver
 from planarflow.errors import CannotSatisfyBounds, SeparatorFailed
 from planarflow.maxflow import SinkLabels, blocking_flow
-from conftest import corpus, reaching
+from conftest import corpus, reaching, thin_sources
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 9 0\nsrc 0\nsnk 1\n"
 
@@ -118,31 +118,135 @@ def test_piece_with_no_sources_is_noop():
     assert state.flow == [0, 0]
 
 
-def test_only_pieces_with_a_source_are_solved():
-    """`_solve` skips the pieces of a division that hold no source: their
-    three phases would move no flow (see the test above). The phase hooks
-    fire once per piece with a source that `division_made` reports."""
+def _live(state, sinks) -> set[int]:
+    """The vertices that reach some sink along residual darts."""
+    return set().union(*(reaching(state, t) for t in sinks))
 
-    class Counts(SolveTrace):
-        pieces = with_source = phase2 = phase3 = 0
+
+def test_only_pieces_with_a_source_are_solved():
+    """`_solve` runs a piece's phases only if it holds a source that still
+    reaches a sink at its turn: the other pieces with a source would move
+    no flow to a sink, and sourceless pieces none at all (see the test
+    above). Replayed from the hooks alone: at each level's division and
+    after each phase 3, the pieces whose sources reach no sink in the
+    level's state are skipped, and the next phase hooks of that level
+    belong to the piece after them."""
+
+    class Replay(SolveTrace):
+        def __init__(self):
+            self.levels = {}  # id(level) -> (level, the source sets to come)
+            self.pieces = self.with_source = self.solved = self.skipped = 0
+
+        def _skip_cut_off(self, level, state):
+            pending = self.levels[id(level)][1]
+            live = _live(state, level.sinks)
+            while pending and not pending[0] & live:
+                pending.popleft()
+                self.skipped += 1
 
         def division_made(self, instance, division, depth=0):
             self.pieces += len(division.pieces)
-            self.with_source += sum(1 for p in division.pieces if p.sources)
+            pending = deque({p.to_parent_vertex[v] for v in p.sources}
+                            for p in division.pieces if p.sources)
+            self.with_source += len(pending)
+            self.levels[id(instance)] = (instance, pending)
+            self._skip_cut_off(instance, FlowState.from_instance(instance))
 
         def phase2_done(self, instance, state):
-            self.phase2 += 1
+            assert self.levels[id(instance)][1], \
+                "phases fired for a piece whose sources reach no sink"
+
+        def phase3_done(self, instance, state):
+            self.levels[id(instance)][1].popleft()
+            self.solved += 1
+            self._skip_cut_off(instance, state)
+
+    replay = Replay()
+    for inst in corpus(20, seed0=3000, max_n=150, extra_sinks=2):
+        state = solve_recursive(inst, DivisionParams(r=24), trace=replay)
+        assert flow_value(state, inst.sinks) == oracle_value(inst)
+        assert validate_flow(inst, state) == []
+        assert not any(pending for _, pending in replay.levels.values())
+        replay.levels.clear()
+    assert replay.solved + replay.skipped == replay.with_source
+    assert 0 < replay.solved and 0 < replay.skipped
+    assert replay.with_source < replay.pieces
+
+
+def test_piece_cut_off_by_an_earlier_piece_is_skipped():
+    """On a unit-capacity 12 x 12 grid whose sink is a corner, the first
+    piece that holds a source saturates the sink's two in-arcs. The later
+    pieces with a source are then cut off and fire no hook, and the flow
+    is still maximum."""
+
+    class Hooks(SolveTrace):
+        def __init__(self):
+            self.with_source = self.divisions = 0
+            self.phases = []
+
+        def division_made(self, instance, division, depth=0):
+            self.divisions += 1
+            self.with_source += sum(1 for p in division.pieces if p.sources)
+
+        def phase1_done(self, piece, sub_instance, sub_state):
+            self.phases.append(1)
+
+        def phase2_done(self, instance, state):
+            self.phases.append(2)
+
+        def phase3_done(self, instance, state):
+            self.phases.append(3)
+
+    g = grid_graph(12, 12)
+    inst = Instance(g, [1] * g.dart_count, [30, 77, 100, 140], [0])
+    hooks = Hooks()
+    state = solve_recursive(inst, DivisionParams(r=24), trace=hooks)
+    assert hooks.divisions == 1 and hooks.with_source == 4
+    assert hooks.phases == [2, 3]
+    assert flow_value(state, inst.sinks) == oracle_value(inst) == 2
+    ok, _ = is_max_preflow(state, inst.sources, inst.sinks)
+    assert ok
+
+
+@pytest.mark.parametrize("r", [12, 24])
+@pytest.mark.parametrize("variant", ["plain", "zero-and-big", "thin-sources"])
+def test_cut_off_sources_stay_cut_off(variant, r):
+    """Hooks only, several sinks: per level instance, the set of level
+    sources that reach no sink only grows, from the level's zero flow
+    through each `phase3_done`. Every solve has the oracle value and a
+    valid flow, and some pieces with a source are skipped: fewer phase
+    hooks fire than there are such pieces."""
+
+    class Dead(SolveTrace):
+        def __init__(self):
+            self.dead = {}  # id(level) -> (level, its sources reaching no sink)
+            self.with_source = self.phase3 = 0
+
+        def _grow(self, level, state):
+            dead = set(level.sources) - _live(state, level.sinks)
+            before = self.dead.get(id(level), (level, set()))[1]
+            assert before <= dead, f"sources {before - dead} reach a sink again"
+            self.dead[id(level)] = (level, dead)
+
+        def division_made(self, instance, division, depth=0):
+            self.with_source += sum(1 for p in division.pieces if p.sources)
+            self._grow(instance, FlowState.from_instance(instance))
 
         def phase3_done(self, instance, state):
             self.phase3 += 1
+            self._grow(instance, state)
 
-    counts = Counts()
-    for inst in corpus(20, seed0=3000, max_n=150, extra_sinks=2):
-        state = solve_recursive(inst, DivisionParams(r=24), trace=counts)
+    dead = Dead()
+    for i, base in enumerate(corpus(20, seed0=3000, max_n=150,
+                                    extra_sinks=2)):
+        inst = {"plain": base,
+                "zero-and-big": _with_zero_and_big_darts(base, 3000 + i),
+                "thin-sources": thin_sources(base)}[variant]
+        state = solve_recursive(inst, DivisionParams(r=r), trace=dead)
         assert flow_value(state, inst.sinks) == oracle_value(inst)
         assert validate_flow(inst, state) == []
-    assert 0 < counts.with_source < counts.pieces
-    assert counts.phase2 == counts.phase3 == counts.with_source
+        dead.dead.clear()
+    assert 0 < dead.phase3 < dead.with_source
 
 
 def test_boundary_sources_reduce_to_sequential():
@@ -201,30 +305,39 @@ def test_phase_hooks_fire_and_preserve_value():
 def test_phase_hooks_receive_the_level_instance():
     """Phase-2 and phase-3 hooks get the Instance object of the level the
     piece belongs to; at the top level, the one passed to solve_recursive.
-    They fire once each for every piece that holds a source."""
+    They fire in pairs, one pair per solved piece, so at most once each
+    for every piece that holds a source: a piece whose sources reach no
+    sink is skipped (see `test_only_pieces_with_a_source_are_solved`)."""
 
     class Levels(SolveTrace):
         def __init__(self):
             self.levels = []  # (level instance, pieces with a source)
-            self.seen = []    # the instance given to each phase-2/3 hook
+            self.seen = []    # (hook, the instance given to it)
 
         def division_made(self, instance, division, depth=0):
             self.levels.append(
                 (instance, sum(1 for p in division.pieces if p.sources)))
 
         def phase2_done(self, instance, state):
-            self.seen.append(instance)
+            self.seen.append((2, instance))
 
         def phase3_done(self, instance, state):
-            self.seen.append(instance)
+            self.seen.append((3, instance))
 
     inst = corpus(1, seed0=8000, max_n=150)[0]
     levels = Levels()
     solve_recursive(inst, DivisionParams(r=24), trace=levels)
     assert levels.levels[0][0] is inst
+    hooks = [hook for hook, _ in levels.seen]
+    assert hooks and hooks == [2, 3] * (len(hooks) // 2)
+    assert all(a is b for (_, a), (_, b)
+               in zip(levels.seen[::2], levels.seen[1::2]))
+    solved = [instance for hook, instance in levels.seen if hook == 3]
     for level, pieces in levels.levels:
-        assert sum(seen is level for seen in levels.seen) == 2 * pieces
-    assert len(levels.seen) == 2 * sum(pieces for _, pieces in levels.levels)
+        assert sum(seen is level for seen in solved) <= pieces
+    assert all(any(seen is level for level, _ in levels.levels)
+               for seen in solved)
+    assert any(seen is inst for seen in solved)
 
 
 def test_engines_give_same_value_through_solvers(small_corpus):
@@ -304,9 +417,9 @@ def _flow_digest(solve, *args):
     (sequential_saturation, (),
      "bd13e6162833587a5c71bc1f1afab4edaee5805fa6176f38db64299ef3b56e17"),
     (solve_recursive, (DivisionParams(r=12),),
-     "5bc8b242c31d591121b082729beef1f5d4c1287899b84565488e692586a20d48"),
+     "222dc450d207f35733b7bee6dfebbbe744f721bb45b46808e721950360fe03c0"),
     (solve_recursive, (DivisionParams(r=24),),
-     "94368f7fae309bc0b1332b3fbdf5f79af22ef99cc9bb4494e4a7b18375c9645d"),
+     "cc9bcd9db92bc3953e3ae2cb2d639a9b862cd4ddf2c0c4ed94cab6b45c480734"),
 ], ids=["sequential", "recursive-r12", "recursive-r24"])
 def test_flows_are_pinned(solve, args, digest):
     """The flows themselves, hashed dart for dart, on several sinks with
