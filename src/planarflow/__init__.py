@@ -3,7 +3,7 @@
 from .decomposition import (Division, DivisionParams, Hole, Piece,
                             attach_super_sinks, cycle_separator, divide,
                             division_tree, root_piece, triangulate)
-from .embedding import (EmbeddedGraph, Subgraph, build_graph, induced_subgraph,
+from .embedding import (EmbeddedGraph, build_graph, induced_subgraph,
                         insert_vertices_in_faces)
 from .errors import (CannotSatisfyBounds, CyclicSupport, DanglingDart,
                      InvalidParams, NonEmbedding, NotConnected, ParseError,

@@ -9,9 +9,11 @@ sinks as boundary) with balanced cycle separators until every subpiece
 satisfies the size, boundary and hole bounds. A disconnected level, or
 side of a separator, is split into its components
 (``embedding.components``) before any subgraph is built (subpieces of a
-connected piece stay connected), and holes are computed, against the
-level graph, only for pieces within the size and boundary bounds, so
-every finished piece has them.
+connected piece stay connected). Every subpiece is cut straight from the
+level graph by level vertex ids (``embedding.induced_subgraph``), so its
+maps to the level are the ids that call returns. Holes are computed,
+against the level graph, only for pieces within the size and boundary
+bounds, so every finished piece has them.
 
 Separators are fundamental cycles of a BFS tree in a scratch copy whose
 faces are fanned into triangles in one pass and one ``embedding.splice``.
@@ -405,18 +407,21 @@ def root_piece(instance: Instance) -> Piece:
     )
 
 
-def _make_subpiece(piece: Piece, kept_local, extra_boundary=()) -> Piece:
-    """Subpiece induced by `kept_local`, without holes: `divide` computes
-    them once the subpiece meets the size and boundary bounds. Every
-    `extra_boundary` vertex must be kept."""
-    sub = induced_subgraph(piece.graph, kept_local)
-    to_parent_vertex = [piece.to_parent_vertex[v] for v in sub.to_parent_vertex]
-    to_parent_edge = [piece.to_parent_edge[e] for e in sub.to_parent_edge]
-    idx = sub.parent_vertex_index  # piece-local -> sub-local
+def _make_subpiece(level: EmbeddedGraph, piece: Piece, kept_local,
+                   extra_boundary=()) -> Piece:
+    """Subpiece of `piece` induced by `kept_local`, cut from the level graph
+    by level ids, without holes: `divide` computes them once the subpiece
+    meets the size and boundary bounds. Every `extra_boundary` vertex must
+    be kept."""
+    up = piece.to_parent_vertex
+    kept = set(kept_local)
+    graph, to_parent_vertex, to_parent_edge = induced_subgraph(
+        level, [up[v] for v in kept])
+    index = {v: i for i, v in enumerate(to_parent_vertex)}
     boundary = frozenset(
-        idx[v] for v in set(extra_boundary) | (set(piece.boundary) & idx.keys()))
-    sources = frozenset(idx[v] for v in piece.sources if v in idx)
-    return Piece(sub.graph, to_parent_vertex, to_parent_edge, boundary, sources)
+        index[up[v]] for v in kept & (piece.boundary | set(extra_boundary)))
+    sources = frozenset(index[up[v]] for v in kept & piece.sources)
+    return Piece(graph, to_parent_vertex, to_parent_edge, boundary, sources)
 
 
 def divide(instance: Instance, params: DivisionParams) -> Division:
@@ -442,7 +447,7 @@ def divide(instance: Instance, params: DivisionParams) -> Division:
 
     queue = [piece]
     if piece.graph.component_count > 1:
-        queue = [_make_subpiece(piece, comp)
+        queue = [_make_subpiece(instance.graph, piece, comp)
                  for comp in components(piece.graph, range(n0))]
     finished: list[Piece] = []
     separators: list[list[int]] = []
@@ -476,7 +481,8 @@ def divide(instance: Instance, params: DivisionParams) -> Division:
             kept = on_cycle.union(side)
             for comp in components(q.graph, kept):
                 queue.append(_make_subpiece(
-                    q, comp, extra_boundary=on_cycle.intersection(comp)))
+                    instance.graph, q, comp,
+                    extra_boundary=on_cycle.intersection(comp)))
 
     finished.sort(key=lambda pc: min(pc.to_parent_vertex))
     return Division(piece, finished, separators)

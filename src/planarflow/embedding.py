@@ -12,14 +12,15 @@ once. Fan chords of a scratch triangulation (``decomposition.triangulate``)
 and super sinks inside faces (`insert_vertices_in_faces`) both go through
 it, so every old dart and vertex keeps its id. `components` is the one
 component search, used for `component_count` and by divisions.
+`induced_subgraph` cuts a subgraph out of a large graph reading only the
+kept vertices' rotations, and returns its vertex and edge ids in that
+graph along with it.
 
 Dart numbering convention: edge ``e = (u, v)`` owns darts ``2e`` (u -> v)
 and ``2e + 1`` (v -> u); ``rev(d) == d ^ 1``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import DanglingDart, NonEmbedding
 
@@ -185,43 +186,28 @@ def components(g: EmbeddedGraph, kept) -> list[list[int]]:
 # -- subgraphs -----------------------------------------------------------
 
 
-@dataclass
-class Subgraph:
-    """An induced subgraph with maps back to the graph it came from."""
+def induced_subgraph(g: EmbeddedGraph, vertices
+                     ) -> tuple[EmbeddedGraph, list[int], list[int]]:
+    """The subgraph of `g` induced by a vertex set, with its maps into `g`.
 
-    graph: EmbeddedGraph
-    to_parent_vertex: list[int]
-    to_parent_edge: list[int]
-    parent_vertex_index: dict[int, int]
-
-    def to_parent_dart(self, dart: int) -> int:
-        return 2 * self.to_parent_edge[dart >> 1] | (dart & 1)
-
-
-def induced_subgraph(g: EmbeddedGraph, vertices) -> Subgraph:
-    """Extract the subgraph induced by a vertex set, inheriting the embedding.
-
-    Keeps every edge with both endpoints in the set; rotations are the
-    parent rotations restricted to kept darts, which is again a valid
-    (possibly disconnected) planar embedding.
+    Returns ``(graph, vertex_ids, edge_ids)``: local vertex ``i`` is
+    ``vertex_ids[i]`` of `g` (ascending) and local edge ``e`` is
+    ``edge_ids[e]`` (ascending, so the kept edges keep `g`'s order). Only
+    the kept vertices' rotations are read; each is restricted to the kept
+    darts, which is again a valid (possibly disconnected) planar embedding.
     """
-    vset = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(vset)}
-    edges: list[tuple[int, int]] = []
-    to_parent_edge: list[int] = []
-    dart_map: dict[int, int] = {}
-    for e, (u, v) in enumerate(g.edges):
-        if u in index and v in index:
-            new_e = len(edges)
-            edges.append((index[u], index[v]))
-            to_parent_edge.append(e)
-            dart_map[2 * e] = 2 * new_e
-            dart_map[2 * e + 1] = 2 * new_e + 1
-    rotations = []
-    for v in vset:
-        rotations.append([dart_map[d] for d in g.rotations[v] if d in dart_map])
-    sub = EmbeddedGraph(len(vset), edges, rotations)
-    return Subgraph(sub, vset, to_parent_edge, index)
+    vertex_ids = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(vertex_ids)}
+    tails, rotations = g.dart_tails, g.rotations
+    # an edge is kept once, from its tail's dart 2e, when its head is kept
+    edge_ids = sorted(d >> 1 for v in vertex_ids for d in rotations[v]
+                      if not d & 1 and tails[d ^ 1] in index)
+    edge_index = {e: i for i, e in enumerate(edge_ids)}
+    edges = [(index[tails[2 * e]], index[tails[2 * e + 1]]) for e in edge_ids]
+    local_rotations = [[2 * edge_index[d >> 1] | (d & 1) for d in rotations[v]
+                        if d >> 1 in edge_index] for v in vertex_ids]
+    return (EmbeddedGraph(len(vertex_ids), edges, local_rotations),
+            vertex_ids, edge_ids)
 
 
 # -- growth --------------------------------------------------------------

@@ -166,9 +166,10 @@ def test_triangulate_builds_one_graph_without_loops(build, monkeypatch):
 
 def test_triangulate_handles_piece_subgraphs():
     g = grid_graph(6, 6)
-    sub = induced_subgraph(g, [v for v in range(36) if v != 14 and v != 21])
-    tg = triangulate(sub.graph)
-    assert tg.vertex_count == sub.graph.vertex_count
+    sub, _, _ = induced_subgraph(
+        g, [v for v in range(36) if v != 14 and v != 21])
+    tg = triangulate(sub)
+    assert tg.vertex_count == sub.vertex_count
     euler = tg.vertex_count - tg.edge_count + len(tg.faces)
     assert euler == 2 * tg.component_count
 
@@ -217,7 +218,7 @@ def _cycle_graph(k):
     (lambda: grid_graph(12, 12), None),
     (lambda: stacked_triangulation(200, random.Random(0)), None),
     (lambda: induced_subgraph(
-        grid_graph(6, 6), [v for v in range(36) if v not in (14, 21)]).graph,
+        grid_graph(6, 6), [v for v in range(36) if v not in (14, 21)])[0],
      None),
     (lambda: _cycle_graph(40), None),
     (lambda: grid_graph(2, 30), _skewed_strip_weights),
@@ -344,15 +345,15 @@ def test_attach_super_sinks_no_boundary():
 def test_attach_super_sinks_single_hole():
     # 5x5 grid minus its center: one non-inherited face, four anchors
     g = grid_graph(5, 5)
-    sub = induced_subgraph(g, [v for v in range(25) if v != 12])
-    idx = sub.parent_vertex_index
+    sub, vertex_ids, edge_ids = induced_subgraph(
+        g, [v for v in range(25) if v != 12])
+    idx = {v: i for i, v in enumerate(vertex_ids)}
     boundary = frozenset(idx[v] for v in (7, 11, 13, 17))
-    piece = dec.Piece(sub.graph, sub.to_parent_vertex, sub.to_parent_edge,
-                      boundary, frozenset())
+    piece = dec.Piece(sub, vertex_ids, edge_ids, boundary, frozenset())
     piece.holes, piece.external = dec._compute_holes(piece, g)
     assert piece.external is not None and len(piece.external.anchors) == 4
     assert piece.holes == []
-    caps = [1] * sub.graph.dart_count
+    caps = [1] * sub.dart_count
     attached = attach_super_sinks(piece, caps, [])
     assert len(attached.sinks) == 1
     z = attached.sinks[0]
@@ -360,7 +361,7 @@ def test_attach_super_sinks_single_hole():
     ag = attached.graph
     assert ag.vertex_count - ag.edge_count + len(ag.faces) == 2
     # anchor->sink arcs never bottleneck, reverses are closed
-    for e in range(sub.graph.edge_count, ag.edge_count):
+    for e in range(sub.edge_count, ag.edge_count):
         assert attached.capacities[2 * e] == sum(caps) + 1
         assert attached.capacities[2 * e + 1] == 0
 
@@ -370,32 +371,32 @@ def test_attach_super_sinks_two_holes_plus_external():
     # faces become holes, the corner-trimmed outer face is external
     g = grid_graph(7, 7)
     removed = {16, 32, 0}
-    sub = induced_subgraph(g, [v for v in range(49) if v not in removed])
-    idx = sub.parent_vertex_index
+    sub, vertex_ids, edge_ids = induced_subgraph(
+        g, [v for v in range(49) if v not in removed])
+    idx = {v: i for i, v in enumerate(vertex_ids)}
     anchors = {9, 15, 17, 23, 25, 31, 33, 39, 1, 7}
     boundary = frozenset(idx[v] for v in anchors)
     sources = [idx[24], idx[48]]  # interior: the centre and a far corner
-    piece = dec.Piece(sub.graph, sub.to_parent_vertex, sub.to_parent_edge,
-                      boundary, frozenset(sources))
+    piece = dec.Piece(sub, vertex_ids, edge_ids, boundary, frozenset(sources))
     holes, external = dec._compute_holes(piece, g)
     assert external is not None
     assert len(holes) == 2 and not any(h.degenerate for h in holes)
     piece.holes, piece.external = holes, external
-    attached = attach_super_sinks(piece, [1] * sub.graph.dart_count, sources)
+    attached = attach_super_sinks(piece, [1] * sub.dart_count, sources)
     assert attached.sources == sources
     assert len(attached.sinks) == 3
     ag = attached.graph
     assert ag.vertex_count - ag.edge_count + len(ag.faces) == 2
 
     # one batched build equals inserting the super sinks one at a time
-    corner_lists = [corner_darts(sub.graph, h) for h in holes + [external]]
-    one_by_one = sub.graph
+    corner_lists = [corner_darts(sub, h) for h in holes + [external]]
+    one_by_one = sub
     for corners in corner_lists:
         one_by_one = insert_vertices_in_faces(one_by_one, [corners])
-    batched = insert_vertices_in_faces(sub.graph, corner_lists)
+    batched = insert_vertices_in_faces(sub, corner_lists)
     assert batched.edges == one_by_one.edges == ag.edges
     assert batched.rotations == one_by_one.rotations == ag.rotations
-    apexes = [sub.graph.vertex_count + i for i in range(3)]
+    apexes = [sub.vertex_count + i for i in range(3)]
     assert attached.sinks == apexes
     assert [len(batched.rotations[z]) for z in apexes] == [
         len(corners) for corners in corner_lists]

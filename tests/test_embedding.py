@@ -128,19 +128,19 @@ def test_isolated_vertex_is_a_component_of_its_own():
 
 def test_induced_subgraph_inherits_embedding():
     g = grid_graph(4, 4)
-    sub = induced_subgraph(g, range(8))  # top two rows: a 2x4 grid
-    assert sub.graph.vertex_count == 8
-    assert sub.graph.edge_count == 10
-    assert sub.graph.connected
-    for d in range(sub.graph.dart_count):
-        pd = sub.to_parent_dart(d)
-        assert g.tail(pd) == sub.to_parent_vertex[sub.graph.tail(d)]
+    sub, vertex_ids, edge_ids = induced_subgraph(g, range(8))  # a 2x4 grid
+    assert sub.vertex_count == 8
+    assert sub.edge_count == 10
+    assert sub.connected
+    for d in range(sub.dart_count):
+        pd = 2 * edge_ids[d >> 1] | (d & 1)
+        assert g.tail(pd) == vertex_ids[sub.tail(d)]
 
 
 def test_induced_subgraph_may_disconnect():
     g = grid_graph(1, 5)  # path 0-1-2-3-4
-    sub = induced_subgraph(g, [0, 1, 3, 4])
-    assert sub.graph.component_count == 2
+    sub, _, _ = induced_subgraph(g, [0, 1, 3, 4])
+    assert sub.component_count == 2
 
 
 @settings(max_examples=25, deadline=None)
