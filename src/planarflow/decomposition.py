@@ -9,11 +9,13 @@ sinks as boundary) with balanced cycle separators until every subpiece
 satisfies the size, boundary and hole bounds. A disconnected level, or
 side of a separator, is split into its components
 (``embedding.components``) before any subgraph is built (subpieces of a
-connected piece stay connected). Every subpiece is cut straight from the
-level graph by level vertex ids (``embedding.induced_subgraph``), so its
-maps to the level are the ids that call returns. Holes are computed,
-against the level graph, only for pieces within the size and boundary
-bounds, so every finished piece has them.
+connected piece stay connected), and a side's one-vertex components,
+cycle vertices that a larger piece of the other side also holds, are
+dropped. Every subpiece is cut straight from the level graph by level
+vertex ids (``embedding.induced_subgraph``), so its maps to the level
+are the ids that call returns. Holes are computed, against the level
+graph, only for pieces within the size and boundary bounds, so every
+finished piece has them.
 
 Separators are fundamental cycles of a BFS tree in a scratch copy whose
 faces are fanned into triangles in one pass and one ``embedding.splice``.
@@ -433,7 +435,9 @@ def divide(instance: Instance, params: DivisionParams) -> Division:
     weight on boundary vertices, or weight on one representative per hole.
     A disconnected level is split into its components first, and
     each side of a separator (with the cycle) before any graph is built,
-    so every queued subpiece is connected. Holes are computed only for
+    so every queued subpiece is connected. A one-vertex component of a
+    side is dropped: it is a cycle vertex whose neighbours all lie on the
+    other side, so a larger piece holds it. Holes are computed only for
     subpieces within the size and boundary bounds, which every finished
     piece is.
     """
@@ -477,12 +481,15 @@ def divide(instance: Instance, params: DivisionParams) -> Division:
         separators.append([q.to_parent_vertex[v] for v in cycle])
         on_cycle = set(cycle)
         for side in (side_a, side_b):
-            # the other side is non-empty, so every subpiece is smaller
+            # the other side is non-empty, so every subpiece is smaller; a
+            # lone vertex is a cycle vertex with a real edge into the other
+            # side, where a larger piece holds it
             kept = on_cycle.union(side)
             for comp in components(q.graph, kept):
-                queue.append(_make_subpiece(
-                    instance.graph, q, comp,
-                    extra_boundary=on_cycle.intersection(comp)))
+                if len(comp) > 1:
+                    queue.append(_make_subpiece(
+                        instance.graph, q, comp,
+                        extra_boundary=on_cycle.intersection(comp)))
 
     finished.sort(key=lambda pc: min(pc.to_parent_vertex))
     return Division(piece, finished, separators)

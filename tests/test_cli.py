@@ -242,7 +242,7 @@ def test_cli_dumps_are_pinned(tmp_path, capsys):
     for snap in sorted(trace_dir.glob("*.pflo")):
         snaps.update(snap.name.encode() + b"\n" + snap.read_bytes())
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
-        "8baf6824f91822e60815ecece8595df505197d5cb4c47e94ccd0233b5608cdcb")
+        "4f0ea751d886d95b3c4666fbafbc576dadadd841586dfd8715a7bd639c38c5b5")
     assert snaps.hexdigest() == (
         "cf59951440751f0a00b2fbc9db96132cb84dd7336a32b50987817c1213535be7")
 

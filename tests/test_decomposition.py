@@ -450,9 +450,9 @@ def _division_digest(division):
 
 @pytest.mark.parametrize("build, digest", [
     (lambda: generate_instance("grid", 900, 0, 100, 4),
-     "c7883da224efa19817c1d9dcb044d40ff9e6d724119a669e8bf98e1f84238f5e"),
+     "7ea47abd7932b0414cc8eff1b2c9ebde4a8e127efffe86f6a40af4e42c6b7347"),
     (lambda: generate_instance("grid", 2000, 0, 100, 200),
-     "fee5e114977ffbe63781c1ba3a9a1d8950193616cfaa9639e3cc88bd697275ed"),
+     "98724e34ff90a8630c62d5329a63d9f27c368f87c8216d9b6c905856d9df1331"),
     (lambda: _with_extra_sinks(
         generate_instance("triangulation", 1000, 0, 100, 32), 4, 0),
      "44e73d73448b1fe84e12b6a6aa0ce6c9d0644f3078d6db231b107ee27e3b64bd"),
@@ -466,7 +466,7 @@ def test_division_pieces_are_pinned(build, digest):
 
 def test_divide_builds_each_side_once_and_walks_finished_holes(monkeypatch):
     """One divide of a 900-vertex grid builds 3 triangulated scratch copies
-    and 9 subpieces, each connected, and walks holes once per finished
+    and 6 subpieces, each connected, and walks holes once per finished
     piece."""
     builds = 0
     init = dec.EmbeddedGraph.__init__
@@ -497,7 +497,7 @@ def test_divide_builds_each_side_once_and_walks_finished_holes(monkeypatch):
     monkeypatch.setattr(dec, "_compute_holes", counting_holes)
     monkeypatch.setattr(dec, "_make_subpiece", recording_subpiece)
     division = divide(inst, DivisionParams())
-    assert len(division.pieces) == 7
-    assert builds == 12
+    assert len(division.pieces) == 4
+    assert builds == 9
     assert hole_walks == len(division.pieces)
     assert queued and all(queued)
