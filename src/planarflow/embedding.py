@@ -201,11 +201,16 @@ def induced_subgraph(g: EmbeddedGraph, vertices
     tails, rotations = g.dart_tails, g.rotations
     # an edge is kept once, from its tail's dart 2e, when its head is kept
     edge_ids = sorted(d >> 1 for v in vertex_ids for d in rotations[v]
-                      if not d & 1 and tails[d ^ 1] in index)
-    edge_index = {e: i for i, e in enumerate(edge_ids)}
-    edges = [(index[tails[2 * e]], index[tails[2 * e + 1]]) for e in edge_ids]
-    local_rotations = [[2 * edge_index[d >> 1] | (d & 1) for d in rotations[v]
-                        if d >> 1 in edge_index] for v in vertex_ids]
+                      if not d & 1 and tails[d + 1] in index)
+    edges = []
+    dart_map = {}  # dart of g -> local dart
+    for i, e in enumerate(edge_ids):
+        dart_map[2 * e] = 2 * i
+        dart_map[2 * e + 1] = 2 * i + 1
+        u, v = g.edges[e]
+        edges.append((index[u], index[v]))
+    local_rotations = [[dart_map[d] for d in rotations[v] if d in dart_map]
+                       for v in vertex_ids]
     return (EmbeddedGraph(len(vertex_ids), edges, local_rotations),
             vertex_ids, edge_ids)
 

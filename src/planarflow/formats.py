@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .embedding import EmbeddedGraph, build_graph
-from .errors import NotConnected, ParseError
+from .errors import DanglingDart, NonEmbedding, NotConnected, ParseError
 
 _KEYWORDS = {"plem", "rot", "edge", "src", "snk"}
 
@@ -147,7 +147,7 @@ def parse_instance(text: str) -> Instance:
 
     try:
         graph = build_graph(n, edges, rotations)
-    except Exception as exc:  # NonEmbedding / DanglingDart carry detail
+    except (NonEmbedding, DanglingDart) as exc:
         raise ParseError(f"embedding rejected: {exc}") from exc
     if not graph.connected:
         raise NotConnected("PLEM input must be connected")

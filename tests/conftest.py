@@ -6,7 +6,25 @@ import random
 
 import pytest
 
-from planarflow import Instance, generate_instance
+from planarflow import Instance, build_graph, generate_instance
+
+
+# K4 with vertex 0's rotation reversed: two faces where Euler's formula
+# needs four, so no planar embedding
+TWISTED_K4 = """plem 4 6
+rot 0 6 0 5
+rot 1 2 10 1
+rot 2 4 8 3
+rot 3 11 9 7
+edge 0 0 1 3 2
+edge 1 1 2 5 2
+edge 2 2 0 5 4
+edge 3 0 3 2 1
+edge 4 2 3 2 4
+edge 5 1 3 5 2
+src 1
+snk 2
+"""
 
 
 def corpus(count: int, seed0: int = 0, max_n: int = 120, cap_max: int = 100,
@@ -55,10 +73,23 @@ def thin_sources(inst: Instance) -> Instance:
     return Instance(inst.graph, caps, inst.sources, inst.sinks)
 
 
+def with_parallel_edges(g, seed, count):
+    """`g` with `count` extra copies of random edges, each beside its edge."""
+    rng = random.Random(seed)
+    edges = list(g.edges)
+    rotations = [list(rot) for rot in g.rotations]
+    for _ in range(count):
+        e = rng.randrange(g.edge_count)
+        u, v = g.edges[e]
+        new = len(edges)
+        edges.append((u, v))
+        rotations[u].insert(rotations[u].index(2 * e) + 1, 2 * new)
+        rotations[v].insert(rotations[v].index(2 * e + 1), 2 * new + 1)
+    return build_graph(g.vertex_count, edges, rotations)
+
+
 def relabel(inst: Instance, rng: random.Random) -> Instance:
     """Apply a random vertex permutation; dart ids stay fixed."""
-    from planarflow import build_graph
-
     n = inst.graph.vertex_count
     perm = list(range(n))
     rng.shuffle(perm)

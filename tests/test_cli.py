@@ -9,6 +9,7 @@ import pytest
 import planarflow.cli as cli
 from planarflow import (Instance, generate_instance, parse_flow,
                         parse_instance, write_instance)
+from conftest import TWISTED_K4
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 9 0\nsrc 0\nsnk 1\n"
 
@@ -85,6 +86,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run(["solve", str(bad)], capsys)
     assert code == 2
     assert "parse error" in err
+
+
+def test_non_planar_input_fails_verify_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "k4.plem"
+    path.write_text(TWISTED_K4)
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 2
+    assert "parse error: embedding rejected: Euler check failed" in err
+    assert "FAIL" not in out and "PASS" not in out
 
 
 @pytest.mark.parametrize("verb", ["solve", "verify", "verify-flow"])

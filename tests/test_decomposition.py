@@ -12,7 +12,7 @@ from planarflow import (DivisionParams, Instance, InvalidParams,
                         grid_graph, induced_subgraph,
                         insert_vertices_in_faces, root_piece,
                         stacked_triangulation, triangulate)
-from conftest import corpus
+from conftest import corpus, with_parallel_edges
 
 
 def unit_instance(graph, sources=(0,), sinks=None):
@@ -100,21 +100,6 @@ def _edge_deleted(g, seed):
     return _keep_edges(g, tree | set(kept))
 
 
-def _with_parallel_edges(g, seed, count):
-    """`g` with `count` extra copies of random edges, each beside its edge."""
-    rng = random.Random(seed)
-    edges = list(g.edges)
-    rotations = [list(rot) for rot in g.rotations]
-    for _ in range(count):
-        e = rng.randrange(g.edge_count)
-        u, v = g.edges[e]
-        new = len(edges)
-        edges.append((u, v))
-        rotations[u].insert(rotations[u].index(2 * e) + 1, 2 * new)
-        rotations[v].insert(rotations[v].index(2 * e + 1), 2 * new + 1)
-    return build_graph(g.vertex_count, edges, rotations)
-
-
 def _star(k):
     edges = [(0, i) for i in range(1, k + 1)]
     rotations = [[2 * e for e in range(k)]] + [[2 * e + 1] for e in range(k)]
@@ -138,7 +123,7 @@ def _divided_pieces():
     lambda: [_star(12)],
     lambda: [_path(9)],
     lambda: [_cycle_graph(40)],
-    lambda: [_with_parallel_edges(grid_graph(8, 8), 1, 30)],
+    lambda: [with_parallel_edges(grid_graph(8, 8), 1, 30)],
     lambda: [stacked_triangulation(50, random.Random(1))],
     _divided_pieces,
 ], ids=["tree", "star", "path", "cycle-40", "grid-parallel", "triangulation",
@@ -226,7 +211,7 @@ def _cycle_graph(k):
      None),
     (lambda: _edge_deleted(stacked_triangulation(200, random.Random(2)), 3),
      None),
-    (lambda: _with_parallel_edges(grid_graph(10, 10), 4, 40), None),
+    (lambda: with_parallel_edges(grid_graph(10, 10), 4, 40), None),
 ], ids=["grid-12x12", "triangulation-200", "grid-piece", "cycle-40",
         "strip-skewed", "triangulation-200-tree", "triangulation-200-sparse",
         "grid-parallel"])
@@ -288,21 +273,27 @@ def test_divide_bounds_on_32x32_grid():
 
 
 def test_divide_covers_parent_exactly_once_in_interiors():
-    g = grid_graph(16, 16)
-    inst = unit_instance(g)
-    division = divide(inst, DivisionParams(r=32))
-    seen_interior: set[int] = set()
-    seen_all: set[int] = set()
-    separator_vertices = {v for cyc in division.separators for v in cyc}
-    for piece in division.pieces:
-        parent_ids = set(piece.to_parent_vertex)
-        seen_all |= parent_ids
-        interior = parent_ids - piece.parent_boundary()
-        assert not (interior & seen_interior)
-        seen_interior |= interior
-        # every boundary vertex came from a separator or the root boundary
-        assert piece.parent_boundary() <= separator_vertices | {255}
-    assert seen_all == set(range(256))
+    """On a 16x16 grid and the three instances whose divisions are pinned,
+    each vertex is interior to at most one piece, every vertex is in some
+    piece, and every piece has a vertex off the separators."""
+    cases = [(unit_instance(grid_graph(16, 16)), DivisionParams(r=32))]
+    cases += [(build(), DivisionParams()) for build in _PINNED_DIVISIONS]
+    for inst, params in cases:
+        division = divide(inst, params)
+        seen_interior: set[int] = set()
+        seen_all: set[int] = set()
+        separator_vertices = {v for cyc in division.separators for v in cyc}
+        for piece in division.pieces:
+            parent_ids = set(piece.to_parent_vertex)
+            seen_all |= parent_ids
+            interior = parent_ids - piece.parent_boundary()
+            assert not (interior & seen_interior)
+            seen_interior |= interior
+            # every boundary vertex came from a separator or the root boundary
+            assert piece.parent_boundary() <= separator_vertices | set(inst.sinks)
+            assert parent_ids - separator_vertices, \
+                f"piece {sorted(parent_ids)} lies on the separators"
+        assert seen_all == set(range(inst.graph.vertex_count))
 
 
 def test_divide_single_face_cycle_piece():
@@ -448,15 +439,21 @@ def _division_digest(division):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("build, digest", [
-    (lambda: generate_instance("grid", 900, 0, 100, 4),
-     "7ea47abd7932b0414cc8eff1b2c9ebde4a8e127efffe86f6a40af4e42c6b7347"),
-    (lambda: generate_instance("grid", 2000, 0, 100, 200),
-     "98724e34ff90a8630c62d5329a63d9f27c368f87c8216d9b6c905856d9df1331"),
-    (lambda: _with_extra_sinks(
+# grid-900, grid-2000 and tri-1000-5-sinks: the seed-0 instances of the
+# three benchmark workloads, whose divisions are pinned below
+_PINNED_DIVISIONS = [
+    lambda: generate_instance("grid", 900, 0, 100, 4),
+    lambda: generate_instance("grid", 2000, 0, 100, 200),
+    lambda: _with_extra_sinks(
         generate_instance("triangulation", 1000, 0, 100, 32), 4, 0),
-     "44e73d73448b1fe84e12b6a6aa0ce6c9d0644f3078d6db231b107ee27e3b64bd"),
-], ids=["grid-900", "grid-2000", "tri-1000-5-sinks"])
+]
+
+
+@pytest.mark.parametrize("build, digest", zip(_PINNED_DIVISIONS, [
+    "7ea47abd7932b0414cc8eff1b2c9ebde4a8e127efffe86f6a40af4e42c6b7347",
+    "98724e34ff90a8630c62d5329a63d9f27c368f87c8216d9b6c905856d9df1331",
+    "44e73d73448b1fe84e12b6a6aa0ce6c9d0644f3078d6db231b107ee27e3b64bd",
+]), ids=["grid-900", "grid-2000", "tri-1000-5-sinks"])
 def test_division_pieces_are_pinned(build, digest):
     """Every finished piece and separator of one division, hashed, so a
     change to how `divide` works cannot change what it returns."""

@@ -8,6 +8,7 @@ from planarflow import (DanglingDart, NonEmbedding, build_graph, grid_graph,
                         induced_subgraph, insert_vertices_in_faces,
                         stacked_triangulation)
 from planarflow.embedding import components
+from conftest import with_parallel_edges
 
 TRIANGLE = dict(vertex_count=3, edges=[(0, 1), (1, 2), (2, 0)],
                 rotations=[[0, 5], [2, 1], [4, 3]])
@@ -141,6 +142,67 @@ def test_induced_subgraph_may_disconnect():
     g = grid_graph(1, 5)  # path 0-1-2-3-4
     sub, _, _ = induced_subgraph(g, [0, 1, 3, 4])
     assert sub.component_count == 2
+
+
+def _all_edges_induced_subgraph(g, vertices):
+    """The reference: a scan over every edge of `g`, keeping those with
+    both ends in the set; rotations are restricted to the kept darts.
+    Returns (edges, rotations, vertex ids, edge ids)."""
+    vertex_ids = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(vertex_ids)}
+    edges, edge_ids, dart_map = [], [], {}
+    for e, (u, v) in enumerate(g.edges):
+        if u in index and v in index:
+            dart_map[2 * e] = 2 * len(edges)
+            dart_map[2 * e + 1] = 2 * len(edges) + 1
+            edges.append((index[u], index[v]))
+            edge_ids.append(e)
+    rotations = [[dart_map[d] for d in g.rotations[v] if d in dart_map]
+                 for v in vertex_ids]
+    return edges, rotations, vertex_ids, edge_ids
+
+
+def _connected_subset(g, rng):
+    """A random connected vertex set, grown from a random vertex."""
+    size = rng.randint(1, g.vertex_count)
+    start = rng.randrange(g.vertex_count)
+    kept, frontier = {start}, [start]
+    while frontier and len(kept) < size:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        for d in g.rotations[v]:
+            w = g.head(d)
+            if w not in kept and len(kept) < size:
+                kept.add(w)
+                frontier.append(w)
+    return kept
+
+
+@pytest.mark.parametrize("build", [
+    lambda: grid_graph(7, 9),
+    lambda: stacked_triangulation(60, random.Random(3)),
+    lambda: with_parallel_edges(grid_graph(6, 6), 5, 25),
+], ids=["grid-7x9", "triangulation-60", "grid-parallel"])
+def test_induced_subgraph_matches_an_all_edges_scan(build):
+    """Reading only the kept vertices' rotations finds the same edges in
+    the same order, the same rotations and the same id lists as a scan
+    over every edge of the graph, on connected and arbitrary subsets."""
+    g = build()
+    rng = random.Random(g.edge_count)
+    for trial in range(40):
+        if trial % 2:
+            vertices = _connected_subset(g, rng)
+        else:
+            vertices = rng.sample(range(g.vertex_count),
+                                  rng.randint(0, g.vertex_count))
+        sub, vertex_ids, edge_ids = induced_subgraph(g, vertices)
+        edges, rotations, want_vertices, want_edges = \
+            _all_edges_induced_subgraph(g, vertices)
+        assert sub.edges == edges
+        assert sub.rotations == rotations
+        assert vertex_ids == want_vertices
+        assert edge_ids == want_edges
+        if trial % 2:
+            assert sub.connected
 
 
 @settings(max_examples=25, deadline=None)

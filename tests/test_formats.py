@@ -3,6 +3,7 @@ import pytest
 from planarflow import (Instance, NotConnected, ParseError, generate_instance,
                         grid_graph, parse_flow, parse_instance, write_flow,
                         write_instance)
+from conftest import TWISTED_K4
 
 SINGLE_EDGE = """plem 2 1
 rot 0 0
@@ -46,6 +47,11 @@ def test_comments_and_whitespace_tolerated():
 def test_malformed_inputs_rejected(mutation):
     with pytest.raises(ParseError):
         parse_instance(mutation(SINGLE_EDGE))
+
+
+def test_non_planar_rotations_rejected():
+    with pytest.raises(ParseError, match="embedding rejected: Euler check"):
+        parse_instance(TWISTED_K4)
 
 
 def test_disconnected_input_rejected():
