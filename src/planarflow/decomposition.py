@@ -9,13 +9,11 @@ sinks as boundary) with balanced cycle separators until every subpiece
 satisfies the size, boundary and hole bounds. A disconnected level, or
 side of a separator, is split into its components
 (``embedding.components``) before any subgraph is built (subpieces of a
-connected piece stay connected), and a side's one-vertex components,
-cycle vertices that a larger piece of the other side also holds, are
-dropped. Every subpiece is cut straight from the level graph by level
-vertex ids (``embedding.induced_subgraph``), so its maps to the level
-are the ids that call returns. Holes are computed, against the level
-graph, only for pieces within the size and boundary bounds, so every
-finished piece has them.
+connected piece stay connected); a side's one-vertex components go.
+Each subpiece is cut from the level graph by level vertex ids
+(``embedding.induced_subgraph``), and holes are computed, against the
+level graph, only for pieces within the size and boundary bounds, so
+every finished piece has them.
 
 Separators are fundamental cycles of a BFS tree in a scratch copy whose
 faces are fanned into triangles in one pass and one ``embedding.splice``.
@@ -411,10 +409,9 @@ def root_piece(instance: Instance) -> Piece:
 
 def _make_subpiece(level: EmbeddedGraph, piece: Piece, kept_local,
                    extra_boundary=()) -> Piece:
-    """Subpiece of `piece` induced by `kept_local`, cut from the level graph
-    by level ids, without holes: `divide` computes them once the subpiece
-    meets the size and boundary bounds. Every `extra_boundary` vertex must
-    be kept."""
+    """Subpiece of `piece` induced by `kept_local`, cut from `level`,
+    without holes: `divide` computes them once the subpiece meets the size
+    and boundary bounds. Every `extra_boundary` vertex must be kept."""
     up = piece.to_parent_vertex
     kept = set(kept_local)
     graph, to_parent_vertex, to_parent_edge = induced_subgraph(
@@ -481,9 +478,7 @@ def divide(instance: Instance, params: DivisionParams) -> Division:
         separators.append([q.to_parent_vertex[v] for v in cycle])
         on_cycle = set(cycle)
         for side in (side_a, side_b):
-            # the other side is non-empty, so every subpiece is smaller; a
-            # lone vertex is a cycle vertex with a real edge into the other
-            # side, where a larger piece holds it
+            # the other side is non-empty, so every subpiece is smaller
             kept = on_cycle.union(side)
             for comp in components(q.graph, kept):
                 if len(comp) > 1:

@@ -11,10 +11,8 @@ right after given darts, appends the rotations of new vertices, and builds
 once. Fan chords of a scratch triangulation (``decomposition.triangulate``)
 and super sinks inside faces (`insert_vertices_in_faces`) both go through
 it, so every old dart and vertex keeps its id. `components` is the one
-component search, used for `component_count` and by divisions.
-`induced_subgraph` cuts a subgraph out of a large graph reading only the
-kept vertices' rotations, and returns its vertex and edge ids in that
-graph along with it.
+component search, used for `component_count` and by divisions, and
+`induced_subgraph` cuts out a subgraph with its vertex and edge ids.
 
 Dart numbering convention: edge ``e = (u, v)`` owns darts ``2e`` (u -> v)
 and ``2e + 1`` (v -> u); ``rev(d) == d ^ 1``.
