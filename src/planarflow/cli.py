@@ -226,8 +226,8 @@ def cmd_bench(args) -> int:
     if sizes != sorted(sizes):
         print("sizes must be ascending", file=sys.stderr)
         return 2
-    seeds = ([_number(int, s, "--seeds") for s in args.seeds.split(",")]
-             if args.seeds else [_default_seed(None)])
+    seeds = ([_number(int, s, "--seeds") for s in (args.seeds or "").split(",")
+              if s] or [_default_seed(None)])
     params = _parse_params(args.params)
     print(f"{'n':>10} {'seed':>6} {'time_s':>10} {'value':>10}")
     points = []

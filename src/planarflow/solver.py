@@ -5,21 +5,25 @@ Two independent algorithms are provided:
 * ``sequential_saturation`` exhausts each source against every sink on the
   residual graph, in the given order; grouping all sinks per source makes
   the final flow maximum regardless of order.
-* ``solve_recursive`` divides each level instance into hole-bounded
-  pieces (``divide``) and runs, per piece, a three-phase push: interior
-  sources to the piece boundary (by solving, recursively, the
-  sub-instance ``attach_super_sinks`` makes of the piece's residual
-  graph, with one super sink per hole), boundary vertices to the sinks
-  (sources unbounded, others limited by their accumulated excess), and a
-  preflow-to-flow conversion. The phases, hooks included, run only for a
-  piece with a source that still reaches a sink at its turn; one reverse
-  residual search from the level's sinks (``reaches_a_sink``) tells.
-  That is safe by the loop's invariant: the state is a flow, since each
-  conversion leaves no excess off the terminals and no flow cycle, and
-  no source of a piece handled so far reaches a sink. The vertices that
-  reach no sink are closed under residual arcs, so a piece whose sources
-  all lie among them already satisfies the invariant, and its phases
-  would move nothing to a sink.
+* ``solve_recursive`` divides each level instance that has more than
+  ``r`` vertices and at least two sources into hole-bounded pieces
+  (``divide``); any other level, as is one whose division fails, is
+  solved by sequential saturation, since with one source there are no
+  sources for a piece's boundary vertices to stand in for. Per piece it
+  runs a three-phase push: interior sources to the piece boundary (by
+  solving, recursively, the sub-instance ``attach_super_sinks`` makes of
+  the piece's residual graph, with one super sink per hole), boundary
+  vertices to the sinks (sources unbounded, others limited by their
+  accumulated excess), and a preflow-to-flow conversion. The phases,
+  hooks included, run only for a piece with a source that still reaches
+  a sink at its turn; one reverse residual search from the level's
+  sinks (``reaches_a_sink``) tells. That is safe by the loop's
+  invariant: the state is a flow, since each conversion leaves no excess
+  off the terminals and no flow cycle, and no source of a piece handled
+  so far reaches a sink. The vertices that reach no sink are closed
+  under residual arcs, so a piece whose sources all lie among them
+  already satisfies the invariant, and its phases would move nothing to
+  a sink.
 
 ``pairwise_arbitrary_saturation`` saturates explicit (source, sink) pairs
 in a given order; it exists to demonstrate that ungrouped pair orders are
@@ -39,8 +43,9 @@ same loop with a fresh Dinic search per push.
 
 Both solvers take an `engine`, a callable with the signature of
 ``maxflow.blocking_flow`` (None means that engine), and a `trace`, a
-``SolveTrace``. ``solve_recursive`` calls its hooks on every division
-and every piece; a solve given no trace calls those of the shared no-op
+``SolveTrace``. ``solve_recursive`` calls its hooks on every division it
+makes and every piece it solves, so none fires for a level that is
+saturated; a solve given no trace calls those of the shared no-op
 ``NO_TRACE``. Phase-2 and phase-3 hooks receive the ``Instance`` of the
 level the piece belongs to. ``sequential_saturation`` fires no hook: a
 push is observed through `engine`.
@@ -178,7 +183,9 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
 def _solve(instance: Instance, params: DivisionParams, engine,
            trace: SolveTrace, depth: int = 0) -> FlowState:
     division = None
-    if instance.graph.vertex_count > params.r and instance.sources:
+    # A level with one source has no set of sources for phase 2's boundary
+    # vertices to replace, so it is saturated like one of at most r vertices.
+    if instance.graph.vertex_count > params.r and len(instance.sources) > 1:
         try:
             division = divide(instance, params)
         except (CannotSatisfyBounds, SeparatorFailed):

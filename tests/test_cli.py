@@ -194,6 +194,16 @@ def test_bench_single_size_reports_na(capsys):
     assert "exponent n/a" in out
 
 
+def test_bench_skips_empty_seeds(capsys):
+    """Empty items of `--seeds` are skipped, as those of `--sizes` are."""
+    code, out, _ = run(["bench", "--sizes", "100,", "--seeds", "0,1,",
+                        "--cap-max", "5", "--sources", "2"], capsys)
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()
+            if line and line.split()[0].isdigit()]
+    assert [row[1] for row in rows] == ["0", "1"]
+
+
 def test_bench_values_deterministic(capsys):
     argv = ["bench", "--sizes", "100,400", "--seeds", "3",
             "--cap-max", "5", "--sources", "2"]
@@ -252,9 +262,9 @@ def test_cli_dumps_are_pinned(tmp_path, capsys):
     for snap in sorted(trace_dir.glob("*.pflo")):
         snaps.update(snap.name.encode() + b"\n" + snap.read_bytes())
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
-        "4f0ea751d886d95b3c4666fbafbc576dadadd841586dfd8715a7bd639c38c5b5")
+        "7f2d3e956840a4f491c2e72e3521b2f0ac96e202bfeb2d4203fdd8c6b576ee02")
     assert snaps.hexdigest() == (
-        "cf59951440751f0a00b2fbc9db96132cb84dd7336a32b50987817c1213535be7")
+        "f1e6b3c283232ab6270786fb7b2016ce72dcf8cd0bc90f584ff74fe9ea741fc8")
 
 
 @pytest.mark.parametrize("extra", [[], ["--algorithm", "sequential"]],

@@ -405,6 +405,68 @@ def test_shared_labels_match_reference_on_one_way_and_big_arcs(seed0):
             assert validate_flow(inst, state) == []
 
 
+class _AnyHook(SolveTrace):
+    """Records the name of every hook that fires."""
+
+    def __init__(self):
+        self.fired = []
+
+    def division_made(self, instance, division, depth=0):
+        self.fired.append("division_made")
+
+    def phase1_done(self, piece, sub_instance, sub_state):
+        self.fired.append("phase1_done")
+
+    def phase2_done(self, instance, state):
+        self.fired.append("phase2_done")
+
+    def phase3_done(self, instance, state):
+        self.fired.append("phase3_done")
+
+
+def test_one_source_level_is_saturated_not_divided():
+    """A level with one source above `r` vertices is solved by saturation:
+    on several sinks with one-way and 10^12 arcs, the recursive flow is
+    sequential saturation's dart for dart, and no hook fires."""
+    params = DivisionParams(r=12)
+    solved = 0
+    for i, base in enumerate(corpus(16, seed0=6100, max_n=200, max_sources=1,
+                                    extra_sinks=2)):
+        inst = _with_zero_and_big_darts(base, 6100 + i)
+        assert len(inst.sources) == 1 and len(inst.sinks) > 1
+        if inst.graph.vertex_count <= params.r:
+            continue
+        hooks = _AnyHook()
+        state = solve_recursive(inst, params, trace=hooks)
+        assert state.flow == sequential_saturation(inst).flow
+        assert hooks.fired == []
+        solved += 1
+    assert solved >= 12
+
+
+@pytest.mark.parametrize("variant", ["plain", "thin-sources"])
+def test_every_division_has_two_sources(variant):
+    """Every level that `_solve` divides, at every depth, holds at least
+    two sources, and phase-1 sub-instances are still divided."""
+
+    class Divisions(SolveTrace):
+        def __init__(self):
+            self.depths = []
+
+        def division_made(self, instance, division, depth=0):
+            assert len(instance.sources) >= 2
+            self.depths.append(depth)
+
+    divisions = Divisions()
+    for base in corpus(12, seed0=6200, max_n=200, max_sources=40,
+                       extra_sinks=2):
+        inst = base if variant == "plain" else thin_sources(base)
+        state = solve_recursive(inst, DivisionParams(r=12), trace=divisions)
+        assert flow_value(state, inst.sinks) == oracle_value(inst)
+        assert validate_flow(inst, state) == []
+    assert any(depth >= 1 for depth in divisions.depths)
+
+
 def _flow_digest(solve, *args):
     h = hashlib.sha256()
     for i, base in enumerate(corpus(10, seed0=4400, max_n=150, extra_sinks=3)):
@@ -417,9 +479,9 @@ def _flow_digest(solve, *args):
     (sequential_saturation, (),
      "bd13e6162833587a5c71bc1f1afab4edaee5805fa6176f38db64299ef3b56e17"),
     (solve_recursive, (DivisionParams(r=12),),
-     "222dc450d207f35733b7bee6dfebbbe744f721bb45b46808e721950360fe03c0"),
+     "f11abb8aa8bf1ca7ba7c08f85e871404e6c2fbb5cc6f73f90e5fdef96b610ce7"),
     (solve_recursive, (DivisionParams(r=24),),
-     "cc9bcd9db92bc3953e3ae2cb2d639a9b862cd4ddf2c0c4ed94cab6b45c480734"),
+     "5d1ecba380a0f2620efff151724fcf0e7c2d7cf347b8e7bdbdd041b77cda925d"),
 ], ids=["sequential", "recursive-r12", "recursive-r24"])
 def test_flows_are_pinned(solve, args, digest):
     """The flows themselves, hashed dart for dart, on several sinks with
