@@ -25,17 +25,16 @@ from .solver import (SolveTrace, pairwise_arbitrary_saturation,
                      sequential_saturation, solve_recursive)
 
 
-def _number(kind, text: str, name: str):
-    """`kind(text)`, or InvalidParams naming the key or flag it came from."""
+def _number(text: str, name: str) -> int:
+    """`int(text)`, or InvalidParams naming the key or flag it came from."""
     try:
-        return kind(text)
+        return int(text)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise InvalidParams(f"{name} needs {what}, got {text!r}") from None
+        raise InvalidParams(f"{name} needs an integer, got {text!r}") from None
 
 
 def _parse_params(spec: str | None) -> DivisionParams:
-    """Parse ``c_p=0.5,r=64,t=6,boundary_coeff=10`` style knobs."""
+    """Parse ``r=64,t=6`` style division values."""
     kwargs = {}
     if spec:
         for item in spec.split(","):
@@ -45,15 +44,10 @@ def _parse_params(spec: str | None) -> DivisionParams:
                 raise InvalidParams(f"bad params item {item!r}")
             key, _, val = item.partition("=")
             key = key.strip()
-            val = val.strip()
-            if key == "c_p":
-                kwargs["c_p"] = _number(float, val, key)
-            elif key == "r":
-                kwargs["r"] = _number(int, val, key)
+            if key == "r":
+                kwargs["r"] = _number(val, key)
             elif key == "t":
-                kwargs["sink_bound"] = _number(int, val, key)
-            elif key == "boundary_coeff":
-                kwargs["boundary_coeff"] = _number(float, val, key)
+                kwargs["sink_bound"] = _number(val, key)
             else:
                 raise InvalidParams(f"unknown params key {key!r}")
     return DivisionParams(**kwargs)
@@ -63,7 +57,7 @@ def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("PLANARFLOW_SEED")
-    return _number(int, env, "PLANARFLOW_SEED") if env else 0
+    return _number(env, "PLANARFLOW_SEED") if env else 0
 
 
 def _read(path: str) -> str:
@@ -222,11 +216,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [_number(int, s, "--sizes") for s in args.sizes.split(",") if s]
+    sizes = [_number(s, "--sizes") for s in args.sizes.split(",") if s]
     if sizes != sorted(sizes):
         print("sizes must be ascending", file=sys.stderr)
         return 2
-    seeds = ([_number(int, s, "--seeds") for s in (args.seeds or "").split(",")
+    seeds = ([_number(s, "--seeds") for s in (args.seeds or "").split(",")
               if s] or [_default_seed(None)])
     params = _parse_params(args.params)
     print(f"{'n':>10} {'seed':>6} {'time_s':>10} {'value':>10}")
@@ -284,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="PLEM file, or - for stdin")
     p.add_argument("--algorithm", choices=("recursive", "sequential"),
                    default="recursive")
-    p.add_argument("--params", help="division knobs, e.g. c_p=0.5,r=64,t=6")
+    p.add_argument("--params", help="division values, e.g. r=64,t=6")
     p.add_argument("--trace", help="directory for per-phase PFLO snapshots")
     p.add_argument("--divisions", metavar="PATH",
                    help="write a nested text dump of every division made")
@@ -294,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="validate a flow or cross-check solvers")
     p.add_argument("input", help="PLEM file, or - for stdin")
     p.add_argument("--flow", help="PFLO file to validate against the instance")
-    p.add_argument("--params", help="division knobs for the recursive solver")
+    p.add_argument("--params", help="division values, e.g. r=64,t=6")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded instance")
@@ -311,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="comma list of seeds (default one seed)")
     p.add_argument("--cap-max", type=int, default=10)
     p.add_argument("--sources", type=int, default=4)
-    p.add_argument("--params", help="division knobs")
+    p.add_argument("--params", help="division values, e.g. r=64,t=6")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("fig1", help="emit the pair-order counterexample fixture")

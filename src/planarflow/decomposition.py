@@ -167,9 +167,9 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
     for v in range(n):
         if parent_dart[v] >= 0:
             tree_edge[parent_dart[v] >> 1] = True
+    # never empty: every face of tg has at most 3 darts, so tg has two or
+    # more faces and, by Euler's formula, at least n edges
     nontree = [e for e in range(tg.edge_count) if not tree_edge[e]]
-    if not nontree:
-        raise SeparatorFailed("graph is a tree; no cycle exists")
 
     # dual tree over faces linked by non-tree edges
     fcount = len(tg.faces)
@@ -292,30 +292,29 @@ class Piece:
         return {self.to_parent_vertex[v] for v in self.boundary}
 
 
+# Fixed division bounds: a subpiece of a level of n vertices has at most
+# C_P * n vertices and BOUNDARY_COEFF * sqrt(C_P * n) boundary vertices.
+C_P = 0.5
+BOUNDARY_COEFF = 10.0
+
+
 @dataclass
 class DivisionParams:
-    """Knobs for one division level and the recursion driven by it."""
+    """The settable values of a division and the recursion driven by it."""
 
-    c_p: float = 0.5         # max piece size as a fraction of the parent
-    boundary_coeff: float = 10.0
     sink_bound: int = 6      # t: max sinks per recursive instance
     r: int = 64              # base-case size: recursion stops at or below
 
     def __post_init__(self):
-        if not 0 < self.c_p < 1:
-            raise InvalidParams("c_p must lie strictly between 0 and 1")
         if self.sink_bound < 2:
             raise InvalidParams("sink bound must be at least 2")
-        if self.r < 2:
-            raise InvalidParams("r must be at least 2")
-        if not 0 < self.boundary_coeff < math.inf:
-            raise InvalidParams("boundary_coeff must be finite and positive")
         # a subproblem is a piece plus its super sinks; it must end up smaller
-        # than the level it came from or the recursion cannot bottom out
-        if self.r * (1 - self.c_p) < self.sink_bound:
+        # than the level it came from or the recursion cannot bottom out:
+        # r * (1 - C_P) >= t, with C_P = 1/2
+        if self.r < 2 * self.sink_bound:
             raise InvalidParams(
-                f"r={self.r} too small for c_p={self.c_p}, t={self.sink_bound}: "
-                "need r*(1-c_p) >= t so recursive instances shrink")
+                f"r={self.r} too small for t={self.sink_bound}: "
+                "need r >= 2t so recursive instances shrink")
 
     @property
     def hole_bound(self) -> int:
@@ -442,8 +441,8 @@ def divide(instance: Instance, params: DivisionParams) -> Division:
     n0 = piece.size
     if n0 <= params.r:
         raise InvalidParams(f"piece of size {n0} needs no division (r={params.r})")
-    max_size = params.c_p * n0
-    max_boundary = params.boundary_coeff * math.sqrt(params.c_p * n0)
+    max_size = C_P * n0
+    max_boundary = BOUNDARY_COEFF * math.sqrt(C_P * n0)
     hole_bound = params.hole_bound
 
     queue = [piece]

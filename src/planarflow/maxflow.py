@@ -22,7 +22,9 @@ cannot reach `t`. Either way the labels are valid:
 ``dist[u] <= dist[v] + 1`` on every residual dart u -> v. The engine
 searches from `s` only along admissible arcs, residual darts on which
 `dist` falls by 1, and relabels when the search from `s` is blocked,
-until ``dist[s] == n``. Augmenting along admissible arcs adds only arcs
+until ``dist[s] == n``; a blocked `s` that no residual dart leaves is
+not relabelled but set to ``dist[s] = n``, which is exact and keeps the
+labels valid. Augmenting along admissible arcs adds only arcs
 on which `dist` rises, so the labels stay valid lower bounds, a dead end
 stays dead and no skipped arc becomes admissible. That holds for the
 next source pushing into `t` too, so one `SinkLabels` serves every push
@@ -165,9 +167,12 @@ def blocking_flow(state: FlowState, s: int, t: int,
             path.append(d)
             v = tails[d ^ 1]
         elif v == s:
-            labels.relabel(state, s)
-            dist = labels.dist
-            ptr = labels.ptr
+            if not any(cap[d] - flow[d] + flow[d ^ 1] > 0 for d in rv):
+                dist[s] = n  # no residual dart leaves s: exact, and valid
+            else:
+                labels.relabel(state, s)
+                dist = labels.dist
+                ptr = labels.ptr
         else:
             d = path.pop()
             v = tails[d]

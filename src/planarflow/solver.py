@@ -160,16 +160,15 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
         caps = [state.residual(piece.to_parent_dart(d))
                 for d in range(piece.graph.dart_count)]
         sub_instance = attach_super_sinks(piece, caps, interior)
-        if sub_instance.sinks:
-            sub_state = _solve(sub_instance, params, engine, trace, depth + 1)
-            for e in range(piece.graph.edge_count):
-                net = sub_state.net_edge_flow(e)
-                parent_dart = 2 * piece.to_parent_edge[e]
-                if net > 0:
-                    state.push(parent_dart, net)
-                elif net < 0:
-                    state.push(parent_dart | 1, -net)
-            trace.phase1_done(piece, sub_instance, sub_state)
+        sub_state = _solve(sub_instance, params, engine, trace, depth + 1)
+        for e in range(piece.graph.edge_count):
+            net = sub_state.net_edge_flow(e)
+            parent_dart = 2 * piece.to_parent_edge[e]
+            if net > 0:
+                state.push(parent_dart, net)
+            elif net < 0:
+                state.push(parent_dart | 1, -net)
+        trace.phase1_done(piece, sub_instance, sub_state)
 
     boundary = piece.parent_boundary() - sink_set
     _saturate(state, sorted(boundary), source_set, ordered_sinks, engine)

@@ -230,8 +230,8 @@ def _recursive_division_audit(instance, params):
             return
         division = divide(inst, params)
         n0 = inst.graph.vertex_count
-        max_size = params.c_p * n0
-        max_boundary = params.boundary_coeff * math.sqrt(params.c_p * n0)
+        max_size = dec.C_P * n0
+        max_boundary = dec.BOUNDARY_COEFF * math.sqrt(dec.C_P * n0)
         for sub in division.pieces:
             if sub.size > max_size:
                 violations.append(f"size {sub.size} > {max_size:.1f}")

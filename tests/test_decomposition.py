@@ -260,11 +260,11 @@ def test_divide_rejects_small_pieces():
 def test_divide_bounds_on_32x32_grid():
     g = grid_graph(32, 32)
     inst = unit_instance(g, sources=(0,), sinks=(1023,))
-    params = DivisionParams(c_p=0.5, sink_bound=4, r=64)
+    params = DivisionParams(sink_bound=4, r=64)
     division = divide(inst, params)
     n0 = 1024
-    max_size = params.c_p * n0
-    max_boundary = params.boundary_coeff * math.sqrt(params.c_p * n0)
+    max_size = dec.C_P * n0
+    max_boundary = dec.BOUNDARY_COEFF * math.sqrt(dec.C_P * n0)
     assert len(division.pieces) >= 2
     for piece in division.pieces:
         assert piece.size <= max_size
@@ -306,18 +306,16 @@ def test_divide_single_face_cycle_piece():
 
 def test_params_validation():
     with pytest.raises(InvalidParams):
-        DivisionParams(c_p=1.5)
-    with pytest.raises(InvalidParams):
         DivisionParams(r=0)
     with pytest.raises(InvalidParams):
         DivisionParams(sink_bound=1)
-    for coeff in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(InvalidParams):
-            DivisionParams(boundary_coeff=coeff)
-    # r*(1-c_p) >= t, so that recursive instances shrink
+    # r*(1-C_P) >= t, that is r >= 2t, so that recursive instances shrink
     with pytest.raises(InvalidParams):
         DivisionParams(r=8)
     DivisionParams(r=12)
+    with pytest.raises(InvalidParams):
+        DivisionParams(r=11, sink_bound=6)
+    DivisionParams(r=12, sink_bound=6)
 
 
 # -- super sinks -------------------------------------------------------------
@@ -401,8 +399,9 @@ def test_attached_capacities_reject_wrong_length():
 
 
 def test_boundary_ratio_bounded_across_scales():
-    """Max piece boundary over sqrt(piece size) stays below the configured
-    coefficient on grids of increasing size (measured and reported)."""
+    """Max piece boundary over sqrt(piece size) stays below the division's
+    boundary coefficient on grids of increasing size (measured and
+    reported)."""
     params = DivisionParams()
     rows = []
     for n in (100, 1024, 10000):
@@ -412,9 +411,9 @@ def test_boundary_ratio_bounded_across_scales():
         ratio = max(len(p.boundary) / math.sqrt(p.size)
                     for p in division.pieces)
         rows.append((side * side, round(ratio, 2)))
-        assert ratio <= params.boundary_coeff
+        assert ratio <= dec.BOUNDARY_COEFF
     print(f"[report] max boundary/sqrt(size) per grid: {rows} "
-          f"(configured coefficient {params.boundary_coeff})")
+          f"(coefficient {dec.BOUNDARY_COEFF})")
 
 
 # -- division identity and work ------------------------------------------

@@ -548,6 +548,31 @@ def test_sequential_shares_reverse_searches_across_pushes(monkeypatch):
     assert 0 < relabels < len(inst.sources) * len(inst.sinks)
 
 
+def test_blocked_search_does_not_relabel_a_cut_off_vertex(monkeypatch):
+    """On thin sources each source's darts out fill up: a search blocked
+    at such a source labels it cut off without a reverse search, in both
+    solvers. (Labels that do not exist yet are always searched for.)"""
+    relabel = SinkLabels.relabel
+    relabels = 0
+
+    def checked_relabel(self, state, s):
+        nonlocal relabels
+        if self.dist is not None:
+            relabels += 1
+            assert any(state.residual(d) > 0
+                       for d in state.graph.rotations[s]), \
+                f"relabel for vertex {s}, which no residual dart leaves"
+        relabel(self, state, s)
+
+    monkeypatch.setattr(SinkLabels, "relabel", checked_relabel)
+    inst = thin_sources(generate_instance("grid", 400, 0, 100, 40))
+    want = oracle_value(inst)
+    for state in (sequential_saturation(inst),
+                  solve_recursive(inst, DivisionParams(r=32))):
+        assert flow_value(state, inst.sinks) == want
+    assert relabels
+
+
 def _distances_to(state, t):
     """Residual distance of every vertex to `t` by a plain BFS; the vertex
     count where `t` is unreachable."""
@@ -709,7 +734,7 @@ def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
             raise
 
     monkeypatch.setattr(solver, "divide", counting_divide)
-    params = DivisionParams(r=12, boundary_coeff=1.0)
+    params = DivisionParams(r=12, sink_bound=3)
     for inst in corpus(20, seed0=0, max_n=150, extra_sinks=2):
         state = solve_recursive(inst, params)
         assert flow_value(state, inst.sinks) == oracle_value(inst)
@@ -719,7 +744,7 @@ def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
 
 @pytest.mark.parametrize("r", [12, 24])
 def test_division_never_falls_back_with_default_bounds(monkeypatch, r):
-    """With the default boundary coefficient every level divides: a worse
+    """With the default `t` every level divides: a worse
     separator would otherwise show only as a silent drop to saturation."""
     failures = []
     divide_level = solver.divide
