@@ -118,35 +118,36 @@ def test_unreadable_input_is_a_parse_error(verb, content, tmp_path, capsys):
 
 def test_removed_params_key_rejected(tmp_path, capsys):
     """`p`, and the division's fixed `c_p` and `boundary_coeff`, are not
-    params keys: every verb that takes `--params` exits 2 on them."""
+    params keys; test_malformed_numbers_exit_2 runs them on every verb."""
     path = tmp_path / "edge.plem"
     path.write_text(SINGLE_EDGE)
-    for argv in (["solve", str(path), "--params", "p=2"],
-                 ["solve", str(path), "--params", "c_p=abc"],
-                 ["solve", str(path), "--params", "boundary_coeff=nan"],
-                 ["verify", str(path), "--params", "c_p=abc"],
-                 ["bench", "--sizes", "100", "--params", "c_p=abc"]):
-        code, out, err = run(argv, capsys)
-        assert code == 2, argv
+    for params in ("p=2", "c_p=abc", "boundary_coeff=nan"):
+        code, out, err = run(["solve", str(path), "--params", params], capsys)
+        assert code == 2, params
         assert "unknown params key" in err
         assert "FAIL" not in out and "PASS" not in out
 
 
 @pytest.mark.parametrize("argv, env_seed", [
+    (["solve", "{inst}", "--params", "c_p=abc"], None),
     (["solve", "{inst}", "--params", "r=1.5"], None),
+    (["solve", "{inst}", "--params", "boundary_coeff=nan"], None),
     (["solve", "{inst}", "--params", "t=abc"], None),
     (["solve", "{inst}", "--algorithm", "sequential", "--params", "p=2"], None),
+    (["verify", "{inst}", "--params", "c_p=abc"], None),
     (["verify", "{inst}", "--params", "r=1.5"], None),
     (["verify", "{inst}", "--params", "p=2"], None),
     (["verify", "{inst}", "--params", "r=2"], None),
+    (["bench", "--sizes", "100", "--params", "c_p=abc"], None),
     (["bench", "--sizes", "100", "--params", "r=1.5"], None),
     (["bench", "--sizes", "1x0"], None),
     (["bench", "--sizes", "100", "--seeds", "a"], None),
     (["gen", "--n", "10"], "abc"),
     (["fig1", "--search", "0"], None),
     (["fig1", "--search", "-1"], None),
-], ids=["solve-r", "solve-t", "solve-sequential-p",
-        "verify-r", "verify-p", "verify-r-too-small", "bench-r",
+], ids=["solve-c_p", "solve-r", "solve-boundary-nan", "solve-t",
+        "solve-sequential-p", "verify-c_p",
+        "verify-r", "verify-p", "verify-r-too-small", "bench-c_p", "bench-r",
         "bench-sizes", "bench-seeds", "gen-env-seed", "fig1-search-0",
         "fig1-search-negative"])
 def test_malformed_numbers_exit_2(argv, env_seed, tmp_path, capsys,
