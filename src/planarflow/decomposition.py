@@ -15,12 +15,14 @@ Each subpiece is cut from the level graph by level vertex ids
 level graph, only for pieces within the size and boundary bounds, so
 every finished piece has them.
 
-Separators are fundamental cycles of a BFS tree in a scratch copy whose
-faces are fanned into triangles in one pass and one ``embedding.splice``.
-The copy may have parallel edges, so a fundamental cycle may have two
-darts. Candidates are ranked by dual-tree subtree weights, the two sides
-of a candidate come from the dual subtree under its non-tree edge, and
-the 2/3 balance of both sides is checked exactly before use. A
+Separators are fundamental cycles of a BFS tree in a ``Fan``: the piece
+with its faces fanned into triangles in one pass, never built as a graph.
+Its rotations grow as ``embedding.splice`` grows them
+(``embedding.grow_rotations``), and its faces come straight from the
+fans. The fan may have parallel edges, so a fundamental cycle may have
+two darts. Candidates are ranked by dual-tree subtree weights, the two
+sides of a candidate come from the dual subtree under its non-tree edge,
+and the 2/3 balance of both sides is checked exactly before use. A
 candidate is used only when both sides hold a vertex, so each side with
 the cycle is smaller than the piece; a graph without such a candidate
 (a triangle or a 4-cycle) raises ``SeparatorFailed``.
@@ -37,8 +39,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .embedding import (EmbeddedGraph, components, induced_subgraph,
-                        insert_vertices_in_faces, splice)
+from .embedding import (EmbeddedGraph, components, grow_rotations,
+                        induced_subgraph, insert_vertices_in_faces)
 from .errors import CannotSatisfyBounds, InvalidParams, NotConnected, SeparatorFailed
 from .formats import Instance
 
@@ -46,25 +48,52 @@ from .formats import Instance
 # -- scratch triangulation --------------------------------------------------
 
 
-def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
-    """Fan-triangulated scratch copy in one graph build; ids are preserved.
+@dataclass(slots=True)
+class Fan:
+    """A graph with its faces fanned into triangles, never built as an
+    `EmbeddedGraph`: what the separator reads of it, with the faces given
+    by `dart_face` over ``face_count`` ids."""
+
+    vertex_count: int
+    edges: list[tuple[int, int]]
+    rotations: list[list[int]]
+    dart_tails: list[int]
+    dart_face: list[int]
+    face_count: int
+
+
+def triangulate(g: EmbeddedGraph) -> Fan:
+    """Fan triangulation of `g`, with no graph build; ids are preserved.
 
     Every face walk longer than three darts is fanned from its first corner
     whose vertex occurs once on the walk. Such a corner exists: a vertex
     with two corners on a face is a cut vertex of the face's boundary, and
     every leaf block of that boundary has a vertex that is not. So no chord
     is a loop, though a chord may run parallel to an edge: the separator
-    needs every face to be a triangle, not the copy to be simple. `g.edges`
-    is a prefix of the result's edges; `g` itself is returned when every
-    face is already a triangle.
+    needs every face to be a triangle, not the fan to be simple. `g.edges`
+    is a prefix of the fan's edges, and the fan shares `g`'s lists when
+    every face is already a triangle.
+
+    A walk ``w`` of k darts, rotated so that its anchor corner comes last,
+    becomes the k-2 triangles ``w[0], w[1], rev(c[0])``, then
+    ``c[i], w[i+2], rev(c[i+1])`` and last ``c[-1], w[k-2], w[k-1]``,
+    where ``c[i]`` is the chord from the anchor to the head of ``w[i+1]``.
+    The first keeps the walk's face id, the others get new ids. So face ids
+    may differ from those of a built copy, but every face is the same.
     """
+    long_faces = [(fid, walk) for fid, walk in enumerate(g.faces)
+                  if len(walk) > 3]
+    if not long_faces:
+        return Fan(g.vertex_count, g.edges, g.rotations, g.dart_tails,
+                   g.dart_face, len(g.faces))
     tails = g.dart_tails
     edges = list(g.edges)
+    fan_tails = list(tails)
+    dart_face = list(g.dart_face)
+    face_count = len(g.faces)
     after: dict[int, list[int]] = {}  # dart -> chord darts right after it
-    for walk in g.faces:
+    for fid, walk in long_faces:
         k = len(walk)
-        if k <= 3:
-            continue
         heads = [tails[d ^ 1] for d in walk]
         j = 0
         if len(set(heads)) < k:
@@ -73,19 +102,28 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
         w = walk[j + 1:] + walk[: j + 1]  # anchor corner now last
         u = heads[j]
         at_anchor = []
+        face = fid  # the triangle that the next chord closes
         for d in w[1:k - 2]:
             e = len(edges)
-            edges.append((u, tails[d ^ 1]))
+            chord = (u, tails[d ^ 1])
+            edges.append(chord)
+            fan_tails += chord
             at_anchor.append(2 * e)
             after[d ^ 1] = [2 * e + 1]
+            dart_face[d] = face
+            dart_face += (face_count, face)  # darts 2e and 2e + 1
+            face = face_count
+            face_count += 1
+        dart_face[w[k - 2]] = dart_face[w[k - 1]] = face
         after[w[-1] ^ 1] = at_anchor[::-1]
-    return splice(g, edges, after)
+    return Fan(g.vertex_count, edges, grow_rotations(g.rotations, after),
+               fan_tails, dart_face, face_count)
 
 
 # -- separator ----------------------------------------------------------------
 
 
-def _bfs_tree(g: EmbeddedGraph, root: int):
+def _bfs_tree(g: EmbeddedGraph | Fan, root: int):
     """BFS parent darts, depths and visit order from `root`."""
     tails, rotations = g.dart_tails, g.rotations
     parent_dart = [-1] * g.vertex_count
@@ -102,21 +140,22 @@ def _bfs_tree(g: EmbeddedGraph, root: int):
     return parent_dart, depth, order
 
 
-def _center_root(g: EmbeddedGraph) -> int:
+def _center_root(g: Fan) -> int:
     """Middle of the path between the ends of a double BFS sweep."""
     _, _, order = _bfs_tree(g, 0)
     parent_dart, depth, order = _bfs_tree(g, order[-1])
     v = order[-1]
     for _ in range(depth[v] // 2):
-        v = g.tail(parent_dart[v])
+        v = g.dart_tails[parent_dart[v]]
     return v
 
 
-def _fundamental_cycle(tg: EmbeddedGraph, e: int, parent_dart, depth):
+def _fundamental_cycle(tg: Fan, e: int, parent_dart, depth):
     """Dart cycle (tree path + non-tree edge) through edge e.
 
     It has two darts when e runs parallel to a tree edge.
     """
+    tails = tg.dart_tails
     u, v = tg.edges[e]
     up_u: list[int] = []
     up_v: list[int] = []
@@ -124,18 +163,18 @@ def _fundamental_cycle(tg: EmbeddedGraph, e: int, parent_dart, depth):
     while depth[x] > depth[y]:
         d = parent_dart[x]
         up_u.append(d)
-        x = tg.tail(d)
+        x = tails[d]
     while depth[y] > depth[x]:
         d = parent_dart[y]
         up_v.append(d)
-        y = tg.tail(d)
+        y = tails[d]
     while x != y:
         d = parent_dart[x]
         up_u.append(d)
-        x = tg.tail(d)
+        x = tails[d]
         d = parent_dart[y]
         up_v.append(d)
-        y = tg.tail(d)
+        y = tails[d]
     # walk: lca -> u (tree), u -> v (edge e), v -> lca (tree, reversed)
     cyc = [d for d in reversed(up_u)]
     cyc.append(2 * e)  # dart u->v
@@ -161,33 +200,38 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
     total = sum(weights)
 
     tg = triangulate(g)
+    tails, dart_face = tg.dart_tails, tg.dart_face
     root = _center_root(tg)
     parent_dart, depth, _ = _bfs_tree(tg, root)
-    tree_edge = [False] * tg.edge_count
+    edge_count = len(tg.edges)
+    tree_edge = [False] * edge_count
     for v in range(n):
         if parent_dart[v] >= 0:
             tree_edge[parent_dart[v] >> 1] = True
     # never empty: every face of tg has at most 3 darts, so tg has two or
     # more faces and, by Euler's formula, at least n edges
-    nontree = [e for e in range(tg.edge_count) if not tree_edge[e]]
+    nontree = [e for e in range(edge_count) if not tree_edge[e]]
 
-    # dual tree over faces linked by non-tree edges
-    fcount = len(tg.faces)
+    # dual tree over faces linked by non-tree edges, rooted at the face of
+    # dart 0 (face 0 of a built copy), so the ranking and the sides depend
+    # on the faces themselves, not on how they are numbered
+    fcount = tg.face_count
     dual_adj: list[list[tuple[int, int]]] = [[] for _ in range(fcount)]
     for e in nontree:
-        f1 = tg.dart_face[2 * e]
-        f2 = tg.dart_face[2 * e + 1]
+        f1 = dart_face[2 * e]
+        f2 = dart_face[2 * e + 1]
         dual_adj[f1].append((f2, e))
         dual_adj[f2].append((f1, e))
-    rep_face = [tg.dart_face[rot[0]] for rot in tg.rotations]
+    rep_face = [dart_face[rot[0]] for rot in tg.rotations]
     face_w = [0] * fcount
     for v in range(n):
         face_w[rep_face[v]] += weights[v]
     children: list[list[int]] = [[] for _ in range(fcount)]
     below: dict[int, int] = {}  # non-tree edge -> the face just under it
-    order = [0]
+    root_face = dart_face[0]
+    order = [root_face]
     seen = [False] * fcount
-    seen[0] = True
+    seen[root_face] = True
     for f in order:
         for (f2, e) in dual_adj[f]:
             if not seen[f2]:
@@ -214,8 +258,8 @@ def _separate(g: EmbeddedGraph, weights: list[int]):
             inside[f] = True
             stack.extend(children[f])
         # the faces of the cycle's own darts lie on side B
-        a_inside = not inside[tg.dart_face[cyc[0]]]
-        cyc_vertices = [tg.tail(d) for d in cyc]
+        a_inside = not inside[dart_face[cyc[0]]]
+        cyc_vertices = [tails[d] for d in cyc]
         on_cycle = set(cyc_vertices)
         side_a: list[int] = []
         side_b: list[int] = []

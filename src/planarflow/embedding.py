@@ -7,12 +7,20 @@ rotation system is accepted as planar exactly when Euler's formula holds
 for every connected component.
 
 A graph grows in one way: `splice` copies the rotations with new darts
-right after given darts, appends the rotations of new vertices, and builds
-once. Fan chords of a scratch triangulation (``decomposition.triangulate``)
-and super sinks inside faces (`insert_vertices_in_faces`) both go through
-it, so every old dart and vertex keeps its id. `components` is the one
-component search, used for `component_count` and by divisions, and
-`induced_subgraph` cuts out a subgraph with its vertex and edge ids.
+right after given darts (`grow_rotations`), appends the rotations of new
+vertices, and builds once. Super sinks inside faces
+(`insert_vertices_in_faces`) go through it, and the fan chords of a
+separator's triangulation (``decomposition.triangulate``) grow the
+rotations the same way without a build, so every old dart and vertex
+keeps its id. `components` is the one component search, used for
+`component_count` and by divisions, and `induced_subgraph` cuts out a
+subgraph with its vertex and edge ids.
+
+Every graph from input (`build_graph`, so every parsed and generated
+graph) is checked in full. A graph that `induced_subgraph` or `splice`
+derives from one already built passes its dart tails to the constructor,
+which then skips the structure check and the copies of edges and
+rotations; its face traversal and Euler check still run.
 
 Dart numbering convention: edge ``e = (u, v)`` owns darts ``2e`` (u -> v)
 and ``2e + 1`` (v -> u); ``rev(d) == d ^ 1``.
@@ -32,6 +40,12 @@ class EmbeddedGraph:
         rotations: per-vertex cyclic order of outgoing darts.
         faces: list of dart cycles obtained by face traversal.
         dart_face: face id of every dart.
+        dart_tails: tail vertex of every dart.
+
+    Pass `dart_tails` only for a graph derived from a validated one, as
+    `induced_subgraph` and `splice` do: the structure check and the copies
+    of `edges` and `rotations` are then skipped. Faces and Euler's formula
+    are checked either way.
     """
 
     __slots__ = (
@@ -46,11 +60,17 @@ class EmbeddedGraph:
     )
 
     def __init__(self, vertex_count: int, edges: list[tuple[int, int]],
-                 rotations: list[list[int]]):
+                 rotations: list[list[int]],
+                 dart_tails: list[int] | None = None):
         self.vertex_count = vertex_count
-        self.edges = [(int(u), int(v)) for u, v in edges]
-        self.rotations = [list(r) for r in rotations]
-        self._check_structure()
+        if dart_tails is None:
+            self.edges = [(int(u), int(v)) for u, v in edges]
+            self.rotations = [list(r) for r in rotations]
+            self._check_structure()
+        else:
+            self.edges = edges
+            self.rotations = rotations
+            self.dart_tails = dart_tails
         self._compute_traversal()
         self._check_euler()
 
@@ -201,19 +221,35 @@ def induced_subgraph(g: EmbeddedGraph, vertices
     edge_ids = sorted(d >> 1 for v in vertex_ids for d in rotations[v]
                       if not d & 1 and tails[d + 1] in index)
     edges = []
+    local_tails = []
     dart_map = {}  # dart of g -> local dart
     for i, e in enumerate(edge_ids):
         dart_map[2 * e] = 2 * i
         dart_map[2 * e + 1] = 2 * i + 1
         u, v = g.edges[e]
-        edges.append((index[u], index[v]))
+        edge = (index[u], index[v])
+        edges.append(edge)
+        local_tails += edge
     local_rotations = [[dart_map[d] for d in rotations[v] if d in dart_map]
                        for v in vertex_ids]
-    return (EmbeddedGraph(len(vertex_ids), edges, local_rotations),
+    return (EmbeddedGraph(len(vertex_ids), edges, local_rotations, local_tails),
             vertex_ids, edge_ids)
 
 
 # -- growth --------------------------------------------------------------
+
+
+def grow_rotations(rotations: list[list[int]],
+                   after: dict[int, list[int]]) -> list[list[int]]:
+    """Copies of `rotations` with the darts `after[d]` right after dart `d`."""
+    grown_rotations = []
+    for rot in rotations:
+        grown = []
+        for d in rot:
+            grown.append(d)
+            grown.extend(after.get(d, ()))
+        grown_rotations.append(grown)
+    return grown_rotations
 
 
 def splice(g: EmbeddedGraph, edges: list[tuple[int, int]],
@@ -221,22 +257,23 @@ def splice(g: EmbeddedGraph, edges: list[tuple[int, int]],
     """`g` grown by new darts, in one graph build.
 
     `edges` holds `g.edges` as a prefix, then the new edges. Each rotation
-    of `g` is copied with the darts `after[d]` right after dart `d`, and
-    `new_rotations` are the rotations of new vertices ``g.vertex_count``,
-    ``g.vertex_count + 1``, ... So every old dart and vertex keeps its id.
-    `g` itself is returned when there is nothing to add.
+    of `g` is copied with the darts `after[d]` right after dart `d`
+    (`grow_rotations`), and `new_rotations` are the rotations of new
+    vertices ``g.vertex_count``, ``g.vertex_count + 1``, ... So every old
+    dart and vertex keeps its id. `g` itself is returned when there is
+    nothing to add. The caller places each new dart at its tail: the
+    build skips the structure check, though faces and Euler's formula
+    are still checked.
     """
     if not after and not new_rotations:
         return g
-    rotations = []
-    for rot in g.rotations:
-        grown = []
-        for d in rot:
-            grown.append(d)
-            grown.extend(after.get(d, ()))
-        rotations.append(grown)
-    rotations.extend(new_rotations)
-    return EmbeddedGraph(g.vertex_count + len(new_rotations), edges, rotations)
+    rotations = grow_rotations(g.rotations, after)
+    rotations.extend(list(rot) for rot in new_rotations)
+    tails = list(g.dart_tails)
+    for edge in edges[g.edge_count:]:
+        tails += edge
+    return EmbeddedGraph(g.vertex_count + len(new_rotations), edges,
+                         rotations, tails)
 
 
 def insert_vertices_in_faces(g: EmbeddedGraph,

@@ -24,7 +24,10 @@ searches from `s` only along admissible arcs, residual darts on which
 `dist` falls by 1, and relabels when the search from `s` is blocked,
 until ``dist[s] == n``; a blocked `s` that no residual dart leaves is
 not relabelled but set to ``dist[s] = n``, which is exact and keeps the
-labels valid. Augmenting along admissible arcs adds only arcs
+labels valid. When there are no labels yet, such an `s` makes no reverse
+search either: every other vertex is labelled 0, a valid lower bound,
+so the next push into `t` from another vertex is blocked at once and
+relabels. Augmenting along admissible arcs adds only arcs
 on which `dist` rises, so the labels stay valid lower bounds, a dead end
 stays dead and no skipped arc becomes admissible. That holds for the
 next source pushing into `t` too, so one `SinkLabels` serves every push
@@ -126,14 +129,21 @@ def blocking_flow(state: FlowState, s: int, t: int,
         return 0
     if labels is None:
         labels = SinkLabels(t)
-    if labels.dist is None:
-        labels.relabel(state, s)
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
     cap = state.capacity
     flow = state.flow
     n = g.vertex_count
+    if labels.dist is None:
+        if not any(cap[d] - flow[d] + flow[d ^ 1] > 0 for d in rot[s]):
+            # no residual dart leaves s: zeros are valid lower bounds, and
+            # dist[s] = n is exact, so no reverse search is needed
+            labels.dist = [0] * n
+            labels.dist[s] = n
+            labels.ptr = [0] * n
+            return 0
+        labels.relabel(state, s)
     dist = labels.dist
     ptr = labels.ptr
     total = 0

@@ -11,8 +11,10 @@ from planarflow import (DivisionParams, Instance, InvalidParams,
                         cycle_separator, divide, generate_instance,
                         grid_graph, induced_subgraph,
                         insert_vertices_in_faces, root_piece,
-                        stacked_triangulation, triangulate)
+                        solve_recursive, stacked_triangulation,
+                        triangulate)
 from conftest import corpus, with_parallel_edges
+from test_acceptance import _acceptance_corpus
 
 
 def unit_instance(graph, sources=(0,), sinks=None):
@@ -59,6 +61,19 @@ def check_separator(graph, weights, cycle):
 # -- triangulation ---------------------------------------------------------
 
 
+def _built(fan):
+    """The fan built through `build_graph`, with every check; its faces
+    must partition the darts exactly as the fan's `dart_face` does."""
+    tg = build_graph(fan.vertex_count, fan.edges, fan.rotations)
+    assert tg.dart_tails == fan.dart_tails
+    assert len(tg.faces) == fan.face_count
+    fan_ids = [fan.dart_face[f[0]] for f in tg.faces]
+    assert sorted(fan_ids) == list(range(fan.face_count))
+    assert all(fan.dart_face[d] == fid
+               for f, fid in zip(tg.faces, fan_ids) for d in f)
+    return tg
+
+
 @pytest.mark.parametrize("build", [
     lambda: grid_graph(5, 5),
     lambda: grid_graph(2, 9),
@@ -67,7 +82,7 @@ def check_separator(graph, weights, cycle):
 ])
 def test_triangulate_fills_simple_faces(build):
     g = build()
-    tg = triangulate(g)
+    tg = _built(triangulate(g))
     assert tg.vertex_count == g.vertex_count
     assert tg.edges[: g.edge_count] == g.edges
     assert all(len(f) == 3 for f in tg.faces)
@@ -129,6 +144,8 @@ def _divided_pieces():
 ], ids=["tree", "star", "path", "cycle-40", "grid-parallel", "triangulation",
         "divided-pieces"])
 def test_triangulate_builds_one_graph_without_loops(build, monkeypatch):
+    """`triangulate` builds no graph; the one graph is the fan built here,
+    through `build_graph`, to check it."""
     builds = 0
     init = dec.EmbeddedGraph.__init__
 
@@ -140,10 +157,12 @@ def test_triangulate_builds_one_graph_without_loops(build, monkeypatch):
     monkeypatch.setattr(dec.EmbeddedGraph, "__init__", counting_init)
     for g in build():
         builds = 0
-        tg = triangulate(g)
+        fan = triangulate(g)
+        assert builds == 0
         long_faces = any(len(f) > 3 for f in g.faces)
-        assert builds == (1 if long_faces else 0)
-        assert long_faces or tg is g
+        assert long_faces or fan.rotations is g.rotations
+        tg = _built(fan)
+        assert builds == 1
         assert all(len(f) <= 3 for f in tg.faces)
         assert all(u != v for u, v in tg.edges)
         assert tg.edges[: g.edge_count] == g.edges
@@ -153,7 +172,7 @@ def test_triangulate_handles_piece_subgraphs():
     g = grid_graph(6, 6)
     sub, _, _ = induced_subgraph(
         g, [v for v in range(36) if v != 14 and v != 21])
-    tg = triangulate(sub)
+    tg = _built(triangulate(sub))
     assert tg.vertex_count == sub.vertex_count
     euler = tg.vertex_count - tg.edge_count + len(tg.faces)
     assert euler == 2 * tg.component_count
@@ -461,9 +480,9 @@ def test_division_pieces_are_pinned(build, digest):
 
 
 def test_divide_builds_each_side_once_and_walks_finished_holes(monkeypatch):
-    """One divide of a 900-vertex grid builds 3 triangulated scratch copies
-    and 6 subpieces, each connected, and walks holes once per finished
-    piece."""
+    """One divide of a 900-vertex grid builds its 6 subpieces, each
+    connected, and no other graph (its 3 separators fan-triangulate
+    without a build), and walks holes once per finished piece."""
     builds = 0
     init = dec.EmbeddedGraph.__init__
 
@@ -494,6 +513,38 @@ def test_divide_builds_each_side_once_and_walks_finished_holes(monkeypatch):
     monkeypatch.setattr(dec, "_make_subpiece", recording_subpiece)
     division = divide(inst, DivisionParams())
     assert len(division.pieces) == 4
-    assert builds == 9
+    assert builds == 6
     assert hole_walks == len(division.pieces)
     assert queued and all(queued)
+
+
+def test_derived_builds_match_a_checked_build(monkeypatch):
+    """A graph that `induced_subgraph` or `splice` derives from a validated
+    graph skips the structure check. Every one made while solving the
+    criteria 4 and 6 corpora and the three pinned instances, rebuilt
+    through `build_graph` with every check, has the same faces, dart
+    faces, dart tails and component count."""
+    init = dec.EmbeddedGraph.__init__
+    derived = 0
+    mismatches = []
+
+    def checking_init(self, n, edges, rotations, dart_tails=None):
+        nonlocal derived
+        init(self, n, edges, rotations, dart_tails)
+        if dart_tails is not None:
+            derived += 1
+            checked = build_graph(n, edges, rotations)
+            if ((checked.faces, checked.dart_face, checked.dart_tails,
+                 checked.component_count) !=
+                    (self.faces, self.dart_face, self.dart_tails,
+                     self.component_count)):
+                mismatches.append((n, len(edges)))
+
+    monkeypatch.setattr(dec.EmbeddedGraph, "__init__", checking_init)
+    for seed0, max_n in ((40_000, 100), (80_000, 120)):
+        for inst in _acceptance_corpus(100, seed0=seed0, max_n=max_n):
+            solve_recursive(inst, DivisionParams(r=32))
+    for build in _PINNED_DIVISIONS:
+        solve_recursive(build())
+    assert derived > 0
+    assert not mismatches
