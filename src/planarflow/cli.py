@@ -34,7 +34,7 @@ def _number(text: str, name: str) -> int:
 
 
 def _parse_params(spec: str | None) -> DivisionParams:
-    """Parse ``r=64,t=6`` style division values."""
+    """Parse ``r=64,t=6,b=8`` style division values."""
     kwargs = {}
     if spec:
         for item in spec.split(","):
@@ -48,6 +48,8 @@ def _parse_params(spec: str | None) -> DivisionParams:
                 kwargs["r"] = _number(val, key)
             elif key == "t":
                 kwargs["sink_bound"] = _number(val, key)
+            elif key == "b":
+                kwargs["budget"] = _number(val, key)
             else:
                 raise InvalidParams(f"unknown params key {key!r}")
     return DivisionParams(**kwargs)
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="PLEM file, or - for stdin")
     p.add_argument("--algorithm", choices=("recursive", "sequential"),
                    default="recursive")
-    p.add_argument("--params", help="division values, e.g. r=64,t=6")
+    p.add_argument("--params", help="division values, e.g. r=64,t=6,b=8")
     p.add_argument("--trace", help="directory for per-phase PFLO snapshots")
     p.add_argument("--divisions", metavar="PATH",
                    help="write a nested text dump of every division made")
@@ -288,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="validate a flow or cross-check solvers")
     p.add_argument("input", help="PLEM file, or - for stdin")
     p.add_argument("--flow", help="PFLO file to validate against the instance")
-    p.add_argument("--params", help="division values, e.g. r=64,t=6")
+    p.add_argument("--params", help="division values, e.g. r=64,t=6,b=8")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded instance")
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="comma list of seeds (default one seed)")
     p.add_argument("--cap-max", type=int, default=10)
     p.add_argument("--sources", type=int, default=4)
-    p.add_argument("--params", help="division values, e.g. r=64,t=6")
+    p.add_argument("--params", help="division values, e.g. r=64,t=6,b=8")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("fig1", help="emit the pair-order counterexample fixture")

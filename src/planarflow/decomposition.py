@@ -348,10 +348,14 @@ class DivisionParams:
 
     sink_bound: int = 6      # t: max sinks per recursive instance
     r: int = 64              # base-case size: recursion stops at or below
+    budget: int = 8          # b: top-level pushes that add flow, then divide
 
     def __post_init__(self):
         if self.sink_bound < 2:
             raise InvalidParams("sink bound must be at least 2")
+        if self.budget < 0:
+            raise InvalidParams(
+                f"budget must be at least 0, got {self.budget}")
         # a subproblem is a piece plus its super sinks; it must end up smaller
         # than the level it came from or the recursion cannot bottom out:
         # r * (1 - C_P) >= t, with C_P = 1/2

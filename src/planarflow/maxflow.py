@@ -214,10 +214,10 @@ def residual_reachable(state: FlowState, source: int) -> set[int]:
     return seen
 
 
-def reaches_a_sink(state: FlowState, vertices, sinks) -> bool:
-    """Whether some vertex in `vertices` reaches a sink along residual
-    darts: one reverse search from `sinks`, with the dart test of
-    `SinkLabels.relabel`, that returns at the first such vertex."""
+def reaches_a_sink(state: FlowState, vertices, sinks, count: int = 1) -> bool:
+    """Whether at least `count` vertices in `vertices` reach a sink along
+    residual darts: one reverse search from `sinks`, with the dart test
+    of `SinkLabels.relabel`, that returns once it has met that many."""
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
@@ -235,7 +235,9 @@ def reaches_a_sink(state: FlowState, vertices, sinks) -> bool:
                 u = tails[r]
                 if not seen[u]:
                     if u in wanted:
-                        return True
+                        count -= 1
+                        if not count:
+                            return True
                     seen[u] = 1
                     reached.append(u)
     return False

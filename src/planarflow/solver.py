@@ -5,11 +5,25 @@ Two independent algorithms are provided:
 * ``sequential_saturation`` exhausts each source against every sink on the
   residual graph, in the given order; grouping all sinks per source makes
   the final flow maximum regardless of order.
-* ``solve_recursive`` divides each level instance that has more than
-  ``r`` vertices and at least two sources into hole-bounded pieces
-  (``divide``); any other level, as is one whose division fails, is
-  solved by sequential saturation, since with one source there are no
-  sources for a piece's boundary vertices to stand in for. Per piece it
+* ``solve_recursive`` first saturates the top level's sources in order,
+  on one state, until a source's turn comes after ``params.budget``
+  pushes have added flow; with few sources the sinks' darts are the min
+  cut, and a few sources fill them. The top level is divided, on that
+  state, only if it has more than ``r`` vertices and one reverse
+  residual search from the sinks (``reaches_a_sink``) finds two of the
+  other sources still reaching a sink; otherwise they are saturated too
+  and nothing is divided, so no hook fires. Every source stays in the
+  level instance: a saturated one reaches no sink, so a piece that
+  holds only such sources is skipped (below), but one may reach a sink
+  again after another source's piece moves flow, and only as a source
+  is it pushed again. A budget of 0 skips this step: the solve is the
+  plain recursion. Below the top level, and at it after the budget, the
+  solver divides each level instance that has more than ``r`` vertices
+  and at least two sources into hole-bounded pieces (``divide``); any
+  other level, as is one whose division fails, is solved by saturating
+  its sources on its state, since with one source there are no sources
+  for a piece's boundary vertices to stand in for (a source the budget
+  saturated adds nothing). Per piece it
   runs a three-phase push: interior sources to the piece boundary (by
   solving, recursively, the sub-instance ``attach_super_sinks`` makes of
   the piece's residual graph, with one super sink per hole), boundary
@@ -29,17 +43,20 @@ Two independent algorithms are provided:
 in a given order; it exists to demonstrate that ungrouped pair orders are
 not optimal in general.
 
-Sequential saturation, the recursion's base case and phase 2 are one
-push loop (``_saturate``). It keeps, for the loop, one ``SinkLabels`` per
-sink (see ``maxflow``): distances to that sink from one reverse BFS that
-stops at the level of the vertex that pushes, lower bounds beyond it,
-shared by every push into that sink and redone only when a push is
-blocked. A push from a vertex labelled n, which cannot reach the sink,
-returns 0 without a search; one from a vertex beyond the stopped search
-finds no path until its blocked search relabels. A push that adds flow
-into one sink discards the labels of the sinks after it, which are
-recomputed before they are used again. The flows found are those of the
-same loop with a fresh Dinic search per push.
+Sequential saturation, the top level's budgeted saturation, the
+recursion's base case and phase 2 are one push loop (``_saturate``).
+The budget counts pushes that add flow, not work done, so the flows do
+not depend on the engine or on the labels it shares. The loop keeps
+one ``SinkLabels`` per sink (see ``maxflow``): distances to that sink
+from one reverse BFS that stops at the level of the vertex that pushes,
+lower bounds beyond it, shared by every push into that sink and redone
+only when a push is blocked. A push from a vertex labelled n, which
+cannot reach the sink, returns 0 without a search; one from a vertex
+beyond the stopped search finds no path until its blocked search
+relabels. A push that adds flow into one sink discards the labels of
+the sinks after it, which are recomputed before they are used again.
+The flows found are those of the same loop with a fresh Dinic search
+per push.
 
 Both solvers take an `engine`, a callable with the signature of
 ``maxflow.blocking_flow`` (None means that engine), and a `trace`, a
@@ -86,22 +103,29 @@ class SolveTrace:
 NO_TRACE = SolveTrace()
 
 
-def _saturate(state: FlowState, vertices, sources, sinks, engine) -> None:
-    """Push each vertex in `vertices`, in order, to each sink, in order.
+def _saturate(state: FlowState, vertices, sources, sinks, engine,
+              budget: int | None = None) -> int:
+    """Push each vertex in `vertices`, in order, to each sink, in order;
+    return how many vertices it finished.
 
     A vertex in `sources` pushes unbounded; any other pushes at most its
-    excess and stops once that is spent. `labels[j]` serves every push
-    into ``sinks[j]``, and after a push that adds flow into ``sinks[j]``
-    only the labels of ``sinks[j+1:]`` are discarded. A vertex pushes into
-    ``sinks[j]`` only once it cannot reach any earlier sink t. The
-    vertices that cannot reach t are closed under residual arcs, and
-    that set holds the whole augmenting path, so the push adds and
-    removes arcs only inside it: it changes no distance to t, no label
-    of t stops being a lower bound, and no arc of a vertex outside the
-    set changes, whose current-arc pointers stay valid.
+    excess and stops once that is spent. With a `budget`, the loop stops
+    before the next vertex once that many pushes have added flow.
+    `labels[j]` serves every push into ``sinks[j]``, and after a push
+    that adds flow into ``sinks[j]`` only the labels of ``sinks[j+1:]``
+    are discarded. A vertex pushes into ``sinks[j]`` only once it cannot
+    reach any earlier sink t. The vertices that cannot reach t are
+    closed under residual arcs, and that set holds the whole augmenting
+    path, so the push adds and removes arcs only inside it: it changes
+    no distance to t, no label of t stops being a lower bound, and no
+    arc of a vertex outside the set changes, whose current-arc pointers
+    stay valid.
     """
     labels = [SinkLabels(t) for t in sinks]
-    for p in vertices:
+    added = 0
+    for i, p in enumerate(vertices):
+        if budget is not None and added >= budget:
+            return i
         bounded = p not in sources
         for j, t in enumerate(sinks):
             if bounded and state.excess[p] <= 0:
@@ -109,8 +133,10 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine) -> None:
             value = max_st_flow(state, p, t, engine,
                                 state.excess[p] if bounded else None, labels[j])
             if value:
+                added += 1
                 for later in labels[j + 1:]:
                     later.dist = None
+    return len(vertices)
 
 
 def sequential_saturation(instance: Instance, engine=None,
@@ -180,7 +206,10 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
 
 
 def _solve(instance: Instance, params: DivisionParams, engine,
-           trace: SolveTrace, depth: int = 0) -> FlowState:
+           trace: SolveTrace, depth: int = 0,
+           state: FlowState | None = None) -> FlowState:
+    """Solve `instance` on `state` (a zero flow when None): divide the
+    level and run its pieces, or saturate its sources."""
     division = None
     # A level with one source has no set of sources for phase 2's boundary
     # vertices to replace, so it is saturated like one of at most r vertices.
@@ -191,9 +220,14 @@ def _solve(instance: Instance, params: DivisionParams, engine,
             # Degenerate small levels (many super sinks on few vertices) can
             # defeat the bound machinery; source saturation stays correct.
             pass
+    if state is None:
+        state = FlowState.from_instance(instance)
     if division is None:
-        return sequential_saturation(instance, engine)
-    state = FlowState.from_instance(instance)
+        # sources already saturated on `state` reach no sink: their pushes
+        # add nothing
+        _saturate(state, instance.sources, set(instance.sources),
+                  instance.sinks, engine)
+        return state
     trace.division_made(instance, division, depth)
     for piece in division.pieces:
         # Invariant: the state is a flow (phase 3 leaves no stray excess),
@@ -211,10 +245,28 @@ def _solve(instance: Instance, params: DivisionParams, engine,
 def solve_recursive(instance: Instance, params: DivisionParams | None = None,
                     engine=None, trace: SolveTrace = NO_TRACE) -> FlowState:
     """Maximum flow from the instance's sources to its sinks by recursive
-    division into pieces; at most ``params.sink_bound`` sinks are allowed."""
+    division into pieces; at most ``params.sink_bound`` sinks are allowed.
+
+    The top level's sources are first saturated in order until
+    ``params.budget`` pushes have added flow (none with a budget of 0).
+    The level is then divided, on that state, only if it has more than
+    ``params.r`` vertices and two of the other sources still reach a
+    sink; otherwise those are saturated too.
+    """
     if params is None:
         params = DivisionParams()
     if len(instance.sinks) > params.sink_bound:
         raise TooManySinks(
             f"{len(instance.sinks)} sinks exceed the bound {params.sink_bound}")
-    return _solve(instance, params, engine, trace)
+    if not params.budget:
+        return _solve(instance, params, engine, trace)
+    state = FlowState.from_instance(instance)
+    sources = set(instance.sources)
+    done = _saturate(state, instance.sources, sources, instance.sinks, engine,
+                     params.budget)
+    rest = instance.sources[done:]
+    if (instance.graph.vertex_count <= params.r or len(rest) < 2
+            or not reaches_a_sink(state, rest, instance.sinks, 2)):
+        _saturate(state, rest, sources, instance.sinks, engine)
+        return state
+    return _solve(instance, params, engine, trace, state=state)

@@ -43,18 +43,22 @@ def _acceptance_corpus(count, seed0=0, max_n=200, cap_max=100, max_sources=10):
 
 
 def test_criterion_1_oracle_equivalence():
-    """>=500 seeded instances: recursive == sequential == oracle, exactly."""
+    """>=500 seeded instances: recursive == sequential == oracle, exactly,
+    for the recursive solver at the default push budget and at 0."""
     mismatches = 0
     total = 500
     for inst in _acceptance_corpus(total):
         want = oracle_value(inst)
         seq = flow_value(sequential_saturation(inst), inst.sinks)
         rec = flow_value(solve_recursive(inst), inst.sinks)
-        if not (seq == rec == want):
+        unbudgeted = flow_value(
+            solve_recursive(inst, DivisionParams(budget=0)), inst.sinks)
+        if not (seq == rec == unbudgeted == want):
             mismatches += 1
     _report("criterion-1 oracle-equivalence", mismatches == 0,
             f"{total - mismatches}/{total} instances exact "
-            f"(grids+triangulations, n<=200, caps<=100, <=10 sources)")
+            f"(grids+triangulations, n<=200, caps<=100, <=10 sources; "
+            f"budgets {DivisionParams().budget} and 0)")
 
 
 def test_criterion_2_order_invariance():
@@ -90,7 +94,10 @@ def test_criterion_3_fig1_reproduction():
 
 
 def test_criterion_4_maximality_test_both_directions():
-    """At every phase-2 output: is_max_preflow iff value equals the oracle."""
+    """At every phase-2 output: is_max_preflow iff value equals the oracle.
+    The solves run with a push budget of 0, so that every level they can
+    divide is divided; at the default budget most top levels here are
+    finished by saturation, and fire no phase hook."""
     failures = []
 
     class Check(SolveTrace):
@@ -104,7 +111,7 @@ def test_criterion_4_maximality_test_both_directions():
                 failures.append((instance.graph.vertex_count, claimed, actual))
 
     for inst in _acceptance_corpus(100, seed0=40_000, max_n=100):
-        solve_recursive(inst, DivisionParams(r=32), trace=Check())
+        solve_recursive(inst, DivisionParams(r=32, budget=0), trace=Check())
     _report("criterion-4 preflow-maximality-iff-oracle", not failures,
             f"{Check.checked} phase-2 states checked, {len(failures)} disagreements")
 
@@ -157,7 +164,8 @@ def test_criterion_5_saturated_cuts_stay_saturated():
 
 def test_criterion_6_conversion_preserves_value():
     """Each piece's conversion yields a valid flow with the preflow value,
-    the flow value when phase 2 ends."""
+    the flow value when phase 2 ends. A push budget of 0, as in
+    criterion 4."""
     failures = []
 
     class Check(SolveTrace):
@@ -175,17 +183,17 @@ def test_criterion_6_conversion_preserves_value():
                 failures.append((report[:1], value, self.preflow_value))
 
     for inst in _acceptance_corpus(100, seed0=80_000, max_n=120):
-        solve_recursive(inst, DivisionParams(r=32), trace=Check())
+        solve_recursive(inst, DivisionParams(r=32, budget=0), trace=Check())
     _report("criterion-6 preflow-to-flow-conversion", not failures,
             f"{Check.checked} piece conversions, {len(failures)} violations")
 
 
 def test_phase_checks_on_thin_sources():
     """Criteria 4 and 6's checks on thin-source versions of their corpora
-    (capacity 1 out of every source, 10^6 elsewhere). A piece whose
-    sources reach no sink fires no phase hook, and on the plain corpora
-    most pieces are cut off that way; here few are, so the phase-2 and
-    phase-3 states the checks see stay many."""
+    (capacity 1 out of every source, 10^6 elsewhere), with a push budget
+    of 0 as there. A piece whose sources reach no sink fires no phase
+    hook, and on the plain corpora most pieces are cut off that way; here
+    few are, so the phase-2 and phase-3 states the checks see stay many."""
     failures = []
 
     class Check(SolveTrace):
@@ -210,7 +218,7 @@ def test_phase_checks_on_thin_sources():
     for seed0, max_n in ((40_000, 100), (80_000, 120)):
         check = Check()
         for inst in _acceptance_corpus(100, seed0=seed0, max_n=max_n):
-            solve_recursive(thin_sources(inst), DivisionParams(r=32),
+            solve_recursive(thin_sources(inst), DivisionParams(r=32, budget=0),
                             trace=check)
         checks.append(check)
     _report("thin-source phase checks",
@@ -299,18 +307,31 @@ def test_criterion_7_separator_and_division_bounds(monkeypatch):
             (f"; first: {problems[0]}" if problems else ""))
 
 
-def test_criterion_8_scaling_reported():
-    """Log-log exponent of solve time on grids 1e3..1e5 (reported, ungated)."""
+def _bench_exponent(params: str):
+    """The `bench` output and fitted exponent on grids 1e3..1e5."""
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = cli.main(["bench", "--sizes", "1000,10000,100000", "--seeds", "0",
-                         "--cap-max", "10", "--sources", "4"])
+                         "--cap-max", "10", "--sources", "4",
+                         "--params", params])
     out = buf.getvalue()
     match = re.search(r"exponent (-?\d+\.\d+)", out)
-    ok = code == 0 and match is not None
-    exponent = float(match.group(1)) if match else float("nan")
-    _report("criterion-8 scaling-exponent", ok and math.isfinite(exponent),
+    exponent = float(match.group(1)) if code == 0 and match else float("nan")
+    return out, exponent
+
+
+def test_criterion_8_scaling_reported():
+    """Log-log exponent of solve time on grids 1e3..1e5 (reported, ungated).
+    The fitted solve is the recursion, with a push budget of 0; with the
+    default budget these 4-source grids are finished by saturation, whose
+    exponent is reported beside it."""
+    out, exponent = _bench_exponent("b=0")
+    default_out, default_exponent = _bench_exponent("")
+    _report("criterion-8 scaling-exponent",
+            math.isfinite(exponent) and math.isfinite(default_exponent),
             f"fitted exponent {exponent:.3f} "
             f"(target <= 1.9: {'met' if exponent <= 1.9 else 'NOT met'}; "
-            "reported, not gated)")
+            f"reported, not gated); at the default budget "
+            f"{DivisionParams().budget}: {default_exponent:.3f}")
     print(out)
+    print(default_out)

@@ -145,11 +145,14 @@ def test_removed_params_key_rejected(tmp_path, capsys):
     (["gen", "--n", "10"], "abc"),
     (["fig1", "--search", "0"], None),
     (["fig1", "--search", "-1"], None),
+    (["solve", "{inst}", "--params", "b=-1"], None),
+    (["verify", "{inst}", "--params", "b=1.5"], None),
+    (["bench", "--sizes", "100", "--params", "b=-1"], None),
 ], ids=["solve-c_p", "solve-r", "solve-boundary-nan", "solve-t",
         "solve-sequential-p", "verify-c_p",
         "verify-r", "verify-p", "verify-r-too-small", "bench-c_p", "bench-r",
         "bench-sizes", "bench-seeds", "gen-env-seed", "fig1-search-0",
-        "fig1-search-negative"])
+        "fig1-search-negative", "solve-b-negative", "verify-b", "bench-b"])
 def test_malformed_numbers_exit_2(argv, env_seed, tmp_path, capsys,
                                   monkeypatch):
     path = tmp_path / "edge.plem"
@@ -228,7 +231,7 @@ def test_trace_snapshots_written(tmp_path, capsys):
     run(["gen", "--kind", "grid", "--n", "81", "--seed", "2",
          "--cap-max", "9", "--sources", "3", "-o", str(plem)], capsys)
     trace_dir = tmp_path / "trace"
-    code, _, _ = run(["solve", str(plem), "--params", "r=24",
+    code, _, _ = run(["solve", str(plem), "--params", "r=24,b=0",
                       "--trace", str(trace_dir)], capsys)
     assert code == 0
     snaps = sorted(trace_dir.glob("*.pflo"))
@@ -242,7 +245,7 @@ def test_divisions_dump_written(tmp_path, capsys):
     run(["gen", "--kind", "grid", "--n", "256", "--seed", "4",
          "--cap-max", "9", "--sources", "3", "-o", str(plem)], capsys)
     dump = tmp_path / "divisions.txt"
-    code, _, _ = run(["solve", str(plem), "--params", "r=32",
+    code, _, _ = run(["solve", str(plem), "--params", "r=32,b=0",
                       "--divisions", str(dump)], capsys)
     assert code == 0
     text = dump.read_text()
@@ -259,7 +262,7 @@ def test_cli_dumps_are_pinned(tmp_path, capsys):
          "--cap-max", "9", "--sources", "3", "-o", str(plem)], capsys)
     dump = tmp_path / "divisions.txt"
     trace_dir = tmp_path / "trace"
-    code, _, _ = run(["solve", str(plem), "--params", "r=32",
+    code, _, _ = run(["solve", str(plem), "--params", "r=32,b=0",
                       "--divisions", str(dump), "--trace", str(trace_dir)],
                      capsys)
     assert code == 0
@@ -285,6 +288,25 @@ def test_divisions_dump_empty_without_a_division(extra, tmp_path, capsys):
     assert dump.read_text() == ""
 
 
+def test_divisions_dump_empty_when_saturation_finishes(tmp_path, capsys):
+    """At the default budget the pinned dumps' instance is finished by
+    saturating its sources, so its dump is empty and its flow is the
+    sequential solver's; with b=0 the same solve divides."""
+    plem = tmp_path / "inst.plem"
+    run(["gen", "--kind", "grid", "--n", "256", "--seed", "4",
+         "--cap-max", "9", "--sources", "3", "-o", str(plem)], capsys)
+    dump = tmp_path / "divisions.txt"
+    flows = {}
+    for params in ("r=32", "r=32,b=0"):
+        code, flows[params], _ = run(["solve", str(plem), "--params", params,
+                                      "--divisions", str(dump)], capsys)
+        assert code == 0
+        assert (dump.read_text() == "") == (params == "r=32")
+    code, seq, _ = run(["solve", str(plem), "--algorithm", "sequential"],
+                       capsys)
+    assert code == 0 and flows["r=32"] == seq
+
+
 def test_divisions_dump_written_on_a_solver_error(tmp_path, capsys):
     """A solve that fails with exit code 3 (here: 8 sinks, above the
     default bound of 6) still writes its division dump, empty because
@@ -305,9 +327,9 @@ def test_divisions_dump_written_on_a_solver_error(tmp_path, capsys):
     (["gen", "--n", "10", "-o", "{missing}/x.plem"], "{missing}/x.plem"),
     (["solve", "{inst}", "-o", "{missing}/f.pflo"], "{missing}/f.pflo"),
     (["solve", "{inst}", "--trace", "{inst}"], "{inst}"),
-    (["solve", "{inst}", "--params", "r=24", "--trace", "{snaps}"],
+    (["solve", "{inst}", "--params", "r=24,b=0", "--trace", "{snaps}"],
      "{snaps}/step0000_"),
-    (["solve", "{inst}", "--params", "r=24", "--divisions",
+    (["solve", "{inst}", "--params", "r=24,b=0", "--divisions",
       "{missing}/d.txt"], "{missing}/d.txt"),
     (["solve", "{inst}", "--algorithm", "sequential", "--divisions",
       "{missing}/d.txt"], "{missing}/d.txt"),

@@ -335,6 +335,9 @@ def test_params_validation():
     with pytest.raises(InvalidParams):
         DivisionParams(r=11, sink_bound=6)
     DivisionParams(r=12, sink_bound=6)
+    with pytest.raises(InvalidParams):
+        DivisionParams(budget=-1)
+    assert DivisionParams(budget=0).budget == 0
 
 
 # -- super sinks -------------------------------------------------------------
@@ -543,8 +546,8 @@ def test_derived_builds_match_a_checked_build(monkeypatch):
     monkeypatch.setattr(dec.EmbeddedGraph, "__init__", checking_init)
     for seed0, max_n in ((40_000, 100), (80_000, 120)):
         for inst in _acceptance_corpus(100, seed0=seed0, max_n=max_n):
-            solve_recursive(inst, DivisionParams(r=32))
+            solve_recursive(inst, DivisionParams(r=32, budget=0))
     for build in _PINNED_DIVISIONS:
-        solve_recursive(build())
+        solve_recursive(build(), DivisionParams(budget=0))
     assert derived > 0
     assert not mismatches

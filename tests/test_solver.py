@@ -30,11 +30,12 @@ def test_solvers_match_oracle(small_corpus):
     for inst in small_corpus:
         want = oracle_value(inst)
         seq = sequential_saturation(inst)
-        rec = solve_recursive(inst, DivisionParams(r=24))
         assert flow_value(seq, inst.sinks) == want
-        assert flow_value(rec, inst.sinks) == want
         assert validate_flow(inst, seq) == []
-        assert validate_flow(inst, rec) == []
+        for params in (DivisionParams(r=24), DivisionParams(r=24, budget=0)):
+            rec = solve_recursive(inst, params)
+            assert flow_value(rec, inst.sinks) == want
+            assert validate_flow(inst, rec) == []
 
 
 def test_sequential_order_invariance_quick():
@@ -163,7 +164,8 @@ def test_only_pieces_with_a_source_are_solved():
 
     replay = Replay()
     for inst in corpus(20, seed0=3000, max_n=150, extra_sinks=2):
-        state = solve_recursive(inst, DivisionParams(r=24), trace=replay)
+        state = solve_recursive(inst, DivisionParams(r=24, budget=0),
+                                trace=replay)
         assert flow_value(state, inst.sinks) == oracle_value(inst)
         assert validate_flow(inst, state) == []
         assert not any(pending for _, pending in replay.levels.values())
@@ -200,7 +202,7 @@ def test_piece_cut_off_by_an_earlier_piece_is_skipped():
     g = grid_graph(12, 12)
     inst = Instance(g, [1] * g.dart_count, [30, 77, 100, 140], [0])
     hooks = Hooks()
-    state = solve_recursive(inst, DivisionParams(r=24), trace=hooks)
+    state = solve_recursive(inst, DivisionParams(r=24, budget=0), trace=hooks)
     assert hooks.divisions == 1 and hooks.with_source == 4
     assert hooks.phases == [2, 3]
     assert flow_value(state, inst.sinks) == oracle_value(inst) == 2
@@ -242,7 +244,8 @@ def test_cut_off_sources_stay_cut_off(variant, r):
         inst = {"plain": base,
                 "zero-and-big": _with_zero_and_big_darts(base, 3000 + i),
                 "thin-sources": thin_sources(base)}[variant]
-        state = solve_recursive(inst, DivisionParams(r=r), trace=dead)
+        state = solve_recursive(inst, DivisionParams(r=r, budget=0),
+                                trace=dead)
         assert flow_value(state, inst.sinks) == oracle_value(inst)
         assert validate_flow(inst, state) == []
         dead.dead.clear()
@@ -298,7 +301,7 @@ def test_phase_hooks_fire_and_preserve_value():
 
     hooks = Hooks()
     inst = corpus(1, seed0=8000, max_n=150)[0]
-    solve_recursive(inst, DivisionParams(r=24), trace=hooks)
+    solve_recursive(inst, DivisionParams(r=24, budget=0), trace=hooks)
     assert hooks.phase2 and hooks.phase3 and hooks.phase2 == hooks.phase3
 
 
@@ -326,7 +329,7 @@ def test_phase_hooks_receive_the_level_instance():
 
     inst = corpus(1, seed0=8000, max_n=150)[0]
     levels = Levels()
-    solve_recursive(inst, DivisionParams(r=24), trace=levels)
+    solve_recursive(inst, DivisionParams(r=24, budget=0), trace=levels)
     assert levels.levels[0][0] is inst
     hooks = [hook for hook, _ in levels.seen]
     assert hooks and hooks == [2, 3] * (len(hooks) // 2)
@@ -478,9 +481,9 @@ def _flow_digest(solve, *args):
 @pytest.mark.parametrize("solve, args, digest", [
     (sequential_saturation, (),
      "bd13e6162833587a5c71bc1f1afab4edaee5805fa6176f38db64299ef3b56e17"),
-    (solve_recursive, (DivisionParams(r=12),),
+    (solve_recursive, (DivisionParams(r=12, budget=0),),
      "f11abb8aa8bf1ca7ba7c08f85e871404e6c2fbb5cc6f73f90e5fdef96b610ce7"),
-    (solve_recursive, (DivisionParams(r=24),),
+    (solve_recursive, (DivisionParams(r=24, budget=0),),
      "5d1ecba380a0f2620efff151724fcf0e7c2d7cf347b8e7bdbdd041b77cda925d"),
 ], ids=["sequential", "recursive-r12", "recursive-r24"])
 def test_flows_are_pinned(solve, args, digest):
@@ -488,6 +491,42 @@ def test_flows_are_pinned(solve, args, digest):
     one-way and 10^12 arcs: a change meant to keep every flow identical
     must keep these digests."""
     assert _flow_digest(solve, *args) == digest
+
+
+def test_budget_interpolates_between_the_solvers():
+    """Every push budget gives a maximum, valid flow on several sinks,
+    one-way and 10^12 arcs and thin sources included, also where the top
+    level is divided after the budget. A budget no solve can spend is
+    sequential saturation dart for dart. A budget of 0 is the recursion
+    without one: `test_flows_are_pinned` pins its flows to the digests
+    the solver had before the budget existed."""
+
+    class TopDivisions(SolveTrace):
+        def __init__(self):
+            self.count = 0
+
+        def division_made(self, instance, division, depth=0):
+            self.count += depth == 0
+
+    divided = {}
+    for i, base in enumerate(corpus(12, seed0=4600, max_n=150,
+                                    extra_sinks=2)):
+        for variant, inst in (
+                ("plain", base),
+                ("zero-and-big", _with_zero_and_big_darts(base, 4600 + i)),
+                ("thin-sources", thin_sources(base))):
+            want = oracle_value(inst)
+            for budget in (0, 1, 2, 8, 10 ** 9):
+                top = TopDivisions()
+                state = solve_recursive(
+                    inst, DivisionParams(r=12, budget=budget), trace=top)
+                assert flow_value(state, inst.sinks) == want
+                assert validate_flow(inst, state) == []
+                assert is_max_preflow(state, inst.sources, inst.sinks)[0]
+                divided[budget] = divided.get(budget, 0) + top.count
+            assert state.flow == sequential_saturation(inst).flow
+    print(f"[report] top levels divided per budget: {divided}")
+    assert divided[1] > 0 and divided[10 ** 9] == 0
 
 
 def test_stale_labels_are_recomputed():
@@ -508,7 +547,7 @@ def test_stale_labels_are_recomputed():
     assert (kind, inst.graph.vertex_count) == ("triangulation", 38)
     assert len(inst.sources) == 4 and len(inst.sinks) == 4
     assert oracle_value(inst) == 414
-    state = solve_recursive(inst, DivisionParams(r=12))
+    state = solve_recursive(inst, DivisionParams(r=12, budget=0))
     assert flow_value(state, inst.sinks) == 414
     assert validate_flow(inst, state) == []
 
@@ -628,7 +667,7 @@ def test_stopped_labels_agree_with_a_full_search(monkeypatch):
     for i, base in enumerate(corpus(20, seed0=1000, max_n=60, extra_sinks=2)):
         inst = _with_zero_and_big_darts(base, 5000 + i)
         sequential_saturation(inst, engine=engine)
-        solve_recursive(inst, DivisionParams(r=12), engine=engine)
+        solve_recursive(inst, DivisionParams(r=12, budget=0), engine=engine)
     assert min(seen.values()) > 0, seen
 
 
@@ -649,7 +688,8 @@ def test_push_next_to_the_sink_stops_the_reverse_search():
 
 def _solve_both(inst, engine, trace=solver.NO_TRACE):
     sequential_saturation(inst, engine=engine)
-    solve_recursive(inst, DivisionParams(r=24), engine=engine, trace=trace)
+    solve_recursive(inst, DivisionParams(r=24, budget=0), engine=engine,
+                    trace=trace)
 
 
 def test_no_vertex_is_searched_again_towards_a_sink():
@@ -721,25 +761,49 @@ def test_dead_sets_stay_true_through_the_push_loop():
 
 def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
     """When `divide` cannot meet the bounds, `_solve` saturates the level's
-    sources instead; the flow stays maximum and valid."""
-    fallbacks = 0
+    sources instead; the flow stays maximum and valid. At the top level
+    the fallback continues on the state the budget's saturation left, as
+    one more push loop over every source, so the flow is sequential
+    saturation's dart for dart. (At b=8 this corpus's top levels all
+    finish by saturation; at b=1 one divides after the budget, and
+    falls back.)"""
+    fallbacks = []
     divide_level = solver.divide
+    saturate = solver._saturate
+    loops = []  # the states of the push loops run on the top level's graph
 
     def counting_divide(instance, params):
-        nonlocal fallbacks
         try:
             return divide_level(instance, params)
         except (CannotSatisfyBounds, SeparatorFailed):
-            fallbacks += 1
+            fallbacks.append(instance)
             raise
 
+    def recording_saturate(state, vertices, sources, sinks, engine,
+                           budget=None):
+        if state.graph is top.graph:
+            loops.append(state)
+        return saturate(state, vertices, sources, sinks, engine, budget)
+
     monkeypatch.setattr(solver, "divide", counting_divide)
-    params = DivisionParams(r=12, sink_bound=3)
-    for inst in corpus(20, seed0=0, max_n=150, extra_sinks=2):
-        state = solve_recursive(inst, params)
-        assert flow_value(state, inst.sinks) == oracle_value(inst)
-        assert validate_flow(inst, state) == []
-    assert fallbacks
+    monkeypatch.setattr(solver, "_saturate", recording_saturate)
+    fell_back = {0: 0, 1: 0, 8: 0}
+    resumed = dict(fell_back)
+    for budget in fell_back:
+        params = DivisionParams(r=12, sink_bound=3, budget=budget)
+        for top in corpus(20, seed0=0, max_n=150, extra_sinks=2):
+            fallbacks.clear()
+            loops.clear()
+            state = solve_recursive(top, params)
+            assert flow_value(state, top.sinks) == oracle_value(top)
+            assert validate_flow(top, state) == []
+            fell_back[budget] += len(fallbacks)
+            if budget and any(level is top for level in fallbacks):
+                # the budget's loop and the fallback's, on one state
+                assert len(loops) == 2 and all(s is state for s in loops)
+                assert state.flow == sequential_saturation(top).flow
+                resumed[budget] += 1
+    assert fell_back[0] > 0 and resumed[1] > 0
 
 
 @pytest.mark.parametrize("r", [12, 24])
@@ -759,7 +823,7 @@ def test_division_never_falls_back_with_default_bounds(monkeypatch, r):
 
     monkeypatch.setattr(solver, "divide", recording_divide)
     for inst in corpus(40, seed0=0, max_n=150, extra_sinks=2):
-        state = solve_recursive(inst, DivisionParams(r=r))
+        state = solve_recursive(inst, DivisionParams(r=r, budget=0))
         assert flow_value(state, inst.sinks) == oracle_value(inst)
         assert validate_flow(inst, state) == []
     assert failures == []
@@ -789,7 +853,8 @@ def test_disconnected_instance_divides_into_connected_pieces():
 
     inst = _disjoint_union(generate_instance("grid", 150, 1, 100, 5),
                            generate_instance("grid", 120, 2, 100, 4))
-    state = solve_recursive(inst, DivisionParams(r=24), trace=Divisions())
+    state = solve_recursive(inst, DivisionParams(r=24, budget=0),
+                            trace=Divisions())
     assert flow_value(state, inst.sinks) == oracle_value(inst)
     assert validate_flow(inst, state) == []
     assert divisions[0][0] == 2
@@ -813,7 +878,8 @@ def test_cycle_canceller_fire_count_reported():
     fired = 0
     solves = 0
     for inst in corpus(40, seed0=12_000, max_n=120):
-        state = solve_recursive(inst, DivisionParams(r=24), trace=sub_levels)
+        state = solve_recursive(inst, DivisionParams(r=24, budget=0),
+                                trace=sub_levels)
         fired += state.cancelled_cycles
         solves += 1
     fired += sub_levels.fired
