@@ -348,7 +348,7 @@ class DivisionParams:
 
     sink_bound: int = 6      # t: max sinks per recursive instance
     r: int = 64              # base-case size: recursion stops at or below
-    budget: int = 8          # b: top-level pushes that add flow, then divide
+    budget: int = 8          # b: top-level sources whose pushes added flow
 
     def __post_init__(self):
         if self.sink_bound < 2:

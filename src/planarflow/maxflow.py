@@ -85,6 +85,8 @@ class SinkLabels:
         Reached vertices get their exact distance and every other vertex
         ``dist[s] + 1``, a lower bound. A search that runs out first
         labels every vertex exactly, ``n`` where `t` is unreachable.
+        A dart's residual is computed only when its tail is unlabelled;
+        the order of discovery is that of testing the residual first.
         """
         g = state.graph
         rot = g.rotations
@@ -107,11 +109,11 @@ class SinkLabels:
                 break
             for d in rot[w]:
                 r = d ^ 1  # the dart into w
-                if cap[r] - flow[r] + flow[d] > 0:
-                    u = tails[r]
-                    if dist[u] == n:
-                        dist[u] = nxt
-                        reached.append(u)
+                u = tails[r]
+                # most far ends are already labelled: test that first
+                if dist[u] == n and cap[r] - flow[r] + flow[d] > 0:
+                    dist[u] = nxt
+                    reached.append(u)
         self.dist = dist
         self.ptr = [0] * n
 
@@ -217,7 +219,8 @@ def residual_reachable(state: FlowState, source: int) -> set[int]:
 def reaches_a_sink(state: FlowState, vertices, sinks, count: int = 1) -> bool:
     """Whether at least `count` vertices in `vertices` reach a sink along
     residual darts: one reverse search from `sinks`, with the dart test
-    of `SinkLabels.relabel`, that returns once it has met that many."""
+    of `SinkLabels.relabel` (a seen tail first, then the residual), that
+    returns once it has met that many."""
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
@@ -231,15 +234,14 @@ def reaches_a_sink(state: FlowState, vertices, sinks, count: int = 1) -> bool:
     for w in reached:  # the list grows behind the loop: a FIFO queue
         for d in rot[w]:
             r = d ^ 1  # the dart into w
-            if cap[r] - flow[r] + flow[d] > 0:
-                u = tails[r]
-                if not seen[u]:
-                    if u in wanted:
-                        count -= 1
-                        if not count:
-                            return True
-                    seen[u] = 1
-                    reached.append(u)
+            u = tails[r]
+            if not seen[u] and cap[r] - flow[r] + flow[d] > 0:
+                if u in wanted:
+                    count -= 1
+                    if not count:
+                        return True
+                seen[u] = 1
+                reached.append(u)
     return False
 
 

@@ -5,58 +5,58 @@ Two independent algorithms are provided:
 * ``sequential_saturation`` exhausts each source against every sink on the
   residual graph, in the given order; grouping all sinks per source makes
   the final flow maximum regardless of order.
-* ``solve_recursive`` first saturates the top level's sources in order,
-  on one state, until a source's turn comes after ``params.budget``
-  pushes have added flow; with few sources the sinks' darts are the min
-  cut, and a few sources fill them. The top level is divided, on that
-  state, only if it has more than ``r`` vertices and one reverse
-  residual search from the sinks (``reaches_a_sink``) finds two of the
-  other sources still reaching a sink; otherwise they are saturated too
-  and nothing is divided, so no hook fires. Every source stays in the
-  level instance: a saturated one reaches no sink, so a piece that
-  holds only such sources is skipped (below), but one may reach a sink
-  again after another source's piece moves flow, and only as a source
-  is it pushed again. A budget of 0 skips this step: the solve is the
-  plain recursion. Below the top level, and at it after the budget, the
-  solver divides each level instance that has more than ``r`` vertices
-  and at least two sources into hole-bounded pieces (``divide``); any
-  other level, as is one whose division fails, is solved by saturating
-  its sources on its state, since with one source there are no sources
-  for a piece's boundary vertices to stand in for (a source the budget
-  saturated adds nothing). Per piece it
-  runs a three-phase push: interior sources to the piece boundary (by
-  solving, recursively, the sub-instance ``attach_super_sinks`` makes of
-  the piece's residual graph, with one super sink per hole), boundary
-  vertices to the sinks (sources unbounded, others limited by their
-  accumulated excess), and a preflow-to-flow conversion. The phases,
-  hooks included, run only for a piece with a source that still reaches
-  a sink at its turn; one reverse residual search from the level's
-  sinks (``reaches_a_sink``) tells. That is safe by the loop's
-  invariant: the state is a flow, since each conversion leaves no excess
-  off the terminals and no flow cycle, and no source of a piece handled
-  so far reaches a sink. The vertices that reach no sink are closed
-  under residual arcs, so a piece whose sources all lie among them
-  already satisfies the invariant, and its phases would move nothing to
-  a sink.
+* ``solve_recursive`` first saturates the top level's sources in order, on
+  one state, until a source's turn comes after ``params.budget`` sources
+  whose pushes added flow, each counted once however many sinks it fed;
+  with few sources the sinks' darts are the min cut, and a few sources
+  fill them. The top level is divided, on that state, only if it has
+  more than ``r`` vertices and one reverse residual search from the
+  sinks (``reaches_a_sink``) finds two of the other sources still
+  reaching a sink; otherwise they are saturated too and nothing is
+  divided, so no hook fires. Every source stays in the level instance: a
+  saturated one reaches no sink, so a piece that holds only such sources
+  is skipped (below), but one may reach a sink again after another
+  source's piece moves flow, and only as a source is it pushed again. A
+  budget of 0 skips this step: the solve is the plain recursion. Below
+  the top level, and at it after the budget, the solver divides each
+  level instance that has more than ``r`` vertices and at least two
+  sources into hole-bounded pieces (``divide``); any other level, as is
+  one whose division fails, is solved by saturating its sources on its
+  state, since with one source there are no sources for a piece's
+  boundary vertices to stand in for (a source the budget saturated adds
+  nothing). Per piece it runs a three-phase push: interior sources to
+  the piece boundary (by solving, recursively, the sub-instance
+  ``attach_super_sinks`` makes of the piece's residual graph, with one
+  super sink per hole), boundary vertices to the sinks (sources
+  unbounded, others limited by their accumulated excess), and a
+  preflow-to-flow conversion. The phases, hooks included, run only for a
+  piece with a source that still reaches a sink at its turn; one reverse
+  residual search from the level's sinks (``reaches_a_sink``) tells.
+  That is safe by the loop's invariant: the state is a flow, since each
+  conversion leaves no excess off the terminals and no flow cycle, and
+  no source of a piece handled so far reaches a sink. The vertices that
+  reach no sink are closed under residual arcs, so a piece whose sources
+  all lie among them already satisfies the invariant, and its phases
+  would move nothing to a sink.
 
 ``pairwise_arbitrary_saturation`` saturates explicit (source, sink) pairs
 in a given order; it exists to demonstrate that ungrouped pair orders are
 not optimal in general.
 
 Sequential saturation, the top level's budgeted saturation, the
-recursion's base case and phase 2 are one push loop (``_saturate``).
-The budget counts pushes that add flow, not work done, so the flows do
-not depend on the engine or on the labels it shares. The loop keeps
-one ``SinkLabels`` per sink (see ``maxflow``): distances to that sink
-from one reverse BFS that stops at the level of the vertex that pushes,
-lower bounds beyond it, shared by every push into that sink and redone
-only when a push is blocked. A push from a vertex labelled n, which
-cannot reach the sink, returns 0 without a search; one from a vertex
-beyond the stopped search finds no path until its blocked search
-relabels. A push that adds flow into one sink discards the labels of
-the sinks after it, which are recomputed before they are used again.
-The flows found are those of the same loop with a fresh Dinic search
-per push.
+recursion's base case and phase 2 are one push loop (``_saturate``). The
+budget counts sources whose pushes added flow, not pushes or work done,
+so the flows do not depend on the engine or on the labels it shares. The
+loop keeps one ``SinkLabels`` per sink (see ``maxflow``): distances to
+that sink from one reverse BFS that stops at the level of the vertex
+that pushes, lower bounds beyond it, shared by every push into that sink
+and redone only when a push is blocked. A push from a vertex labelled n,
+which cannot reach the sink, returns 0 without a search; one from a
+vertex beyond the stopped search finds no path until its blocked search
+relabels. A push that adds flow into one sink discards the labels of the
+sinks after it, which are recomputed before they are used again. The
+flows found are those of the same loop with a fresh Dinic search per
+push.
 
 Both solvers take an `engine`, a callable with the signature of
 ``maxflow.blocking_flow`` (None means that engine), and a `trace`, a
@@ -110,7 +110,10 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
 
     A vertex in `sources` pushes unbounded; any other pushes at most its
     excess and stops once that is spent. With a `budget`, the loop stops
-    before the next vertex once that many pushes have added flow.
+    before the next vertex once it has finished that many vertices
+    (sources, at the top level) whose pushes added flow: a vertex counts
+    once, however many sinks it fed, so with one sink the count is that
+    of the pushes that added flow.
     `labels[j]` serves every push into ``sinks[j]``, and after a push
     that adds flow into ``sinks[j]`` only the labels of ``sinks[j+1:]``
     are discarded. A vertex pushes into ``sinks[j]`` only once it cannot
@@ -122,20 +125,22 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
     stay valid.
     """
     labels = [SinkLabels(t) for t in sinks]
-    added = 0
+    fed = 0  # vertices whose pushes added flow
     for i, p in enumerate(vertices):
-        if budget is not None and added >= budget:
+        if budget is not None and fed >= budget:
             return i
         bounded = p not in sources
+        added = False
         for j, t in enumerate(sinks):
             if bounded and state.excess[p] <= 0:
                 break
             value = max_st_flow(state, p, t, engine,
                                 state.excess[p] if bounded else None, labels[j])
             if value:
-                added += 1
+                added = True
                 for later in labels[j + 1:]:
                     later.dist = None
+        fed += added
     return len(vertices)
 
 
@@ -248,7 +253,8 @@ def solve_recursive(instance: Instance, params: DivisionParams | None = None,
     division into pieces; at most ``params.sink_bound`` sinks are allowed.
 
     The top level's sources are first saturated in order until
-    ``params.budget`` pushes have added flow (none with a budget of 0).
+    ``params.budget`` sources whose pushes added flow are finished, each
+    counted once however many sinks it fed (none with a budget of 0).
     The level is then divided, on that state, only if it has more than
     ``params.r`` vertices and two of the other sources still reach a
     sink; otherwise those are saturated too.

@@ -464,7 +464,8 @@ def test_every_division_has_two_sources(variant):
     for base in corpus(12, seed0=6200, max_n=200, max_sources=40,
                        extra_sinks=2):
         inst = base if variant == "plain" else thin_sources(base)
-        state = solve_recursive(inst, DivisionParams(r=12), trace=divisions)
+        state = solve_recursive(inst, DivisionParams(r=12, budget=0),
+                                trace=divisions)
         assert flow_value(state, inst.sinks) == oracle_value(inst)
         assert validate_flow(inst, state) == []
     assert any(depth >= 1 for depth in divisions.depths)
@@ -493,6 +494,16 @@ def test_flows_are_pinned(solve, args, digest):
     assert _flow_digest(solve, *args) == digest
 
 
+class _TopDivisions(SolveTrace):
+    """Counts the divisions of top levels."""
+
+    def __init__(self):
+        self.count = 0
+
+    def division_made(self, instance, division, depth=0):
+        self.count += depth == 0
+
+
 def test_budget_interpolates_between_the_solvers():
     """Every push budget gives a maximum, valid flow on several sinks,
     one-way and 10^12 arcs and thin sources included, also where the top
@@ -500,14 +511,6 @@ def test_budget_interpolates_between_the_solvers():
     sequential saturation dart for dart. A budget of 0 is the recursion
     without one: `test_flows_are_pinned` pins its flows to the digests
     the solver had before the budget existed."""
-
-    class TopDivisions(SolveTrace):
-        def __init__(self):
-            self.count = 0
-
-        def division_made(self, instance, division, depth=0):
-            self.count += depth == 0
-
     divided = {}
     for i, base in enumerate(corpus(12, seed0=4600, max_n=150,
                                     extra_sinks=2)):
@@ -517,7 +520,7 @@ def test_budget_interpolates_between_the_solvers():
                 ("thin-sources", thin_sources(base))):
             want = oracle_value(inst)
             for budget in (0, 1, 2, 8, 10 ** 9):
-                top = TopDivisions()
+                top = _TopDivisions()
                 state = solve_recursive(
                     inst, DivisionParams(r=12, budget=budget), trace=top)
                 assert flow_value(state, inst.sinks) == want
@@ -527,6 +530,67 @@ def test_budget_interpolates_between_the_solvers():
             assert state.flow == sequential_saturation(inst).flow
     print(f"[report] top levels divided per budget: {divided}")
     assert divided[1] > 0 and divided[10 ** 9] == 0
+
+
+def test_budget_counts_sources_not_pushes(monkeypatch):
+    """The push budget counts vertices whose pushes added flow, once each
+    however many sinks they fed, not the pushes themselves. On a path
+    whose first source feeds two sinks, a budget of 2 finishes two
+    sources; counted per push it would stop after the first. On 5-sink
+    triangulations the default budget then divides fewer top levels
+    than the per-push count, which is reported beside the pinned one."""
+    # the path 1 - 0 - 2 - 3 - 4 - 5, capacity 5 both ways
+    edges = [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)]
+    rotations = [[0, 2], [1], [3, 4], [5, 6], [7, 8], [9]]
+    inst = Instance(build_graph(6, edges, rotations), [5] * 10,
+                    [0, 3, 5], [1, 2, 4])
+    for budget, finished in ((1, 1), (2, 2), (3, 3)):
+        state = FlowState.from_instance(inst)
+        assert solver._saturate(state, inst.sources, set(inst.sources),
+                                inst.sinks, None, budget) == finished
+    state = FlowState.from_instance(inst)
+    solver._saturate(state, [0], {0}, inst.sinks, None)
+    assert flow_value(state, [1]) == flow_value(state, [2]) == 5
+
+    saturate = solver._saturate
+
+    def per_push(state, vertices, sources, sinks, engine, budget=None):
+        """The loop with its budget counted per push that added flow; a
+        loop per vertex gives the same flows, as labels change no path."""
+        if budget is None:
+            return saturate(state, vertices, sources, sinks, engine)
+        pushes = 0
+
+        def counting(*args):
+            nonlocal pushes
+            value = (engine or blocking_flow)(*args)
+            pushes += value > 0
+            return value
+
+        for i, p in enumerate(vertices):
+            if pushes >= budget:
+                return i
+            saturate(state, [p], sources, sinks, counting)
+        return len(vertices)
+
+    by_sources, by_pushes = _TopDivisions(), _TopDivisions()
+    for seed in range(7000, 7012):
+        base = generate_instance("triangulation", 200, seed, 100, 16)
+        rng = random.Random(f"five-sinks:{seed}")
+        free = [v for v in range(base.graph.vertex_count)
+                if v not in base.sources and v not in base.sinks]
+        inst = Instance(base.graph, base.capacities, base.sources,
+                        base.sinks + rng.sample(free, 4))
+        state = solve_recursive(inst, trace=by_sources)
+        assert flow_value(state, inst.sinks) == oracle_value(inst)
+        assert validate_flow(inst, state) == []
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_saturate", per_push)
+            solve_recursive(inst, trace=by_pushes)
+    print(f"[report] top levels divided at b={DivisionParams().budget} on "
+          f"12 5-sink triangulations: {by_sources.count} counting sources, "
+          f"{by_pushes.count} counting pushes")
+    assert by_sources.count == 1 < by_pushes.count
 
 
 def test_stale_labels_are_recomputed():
