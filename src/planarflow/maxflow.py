@@ -220,13 +220,16 @@ def reaches_a_sink(state: FlowState, vertices, sinks, count: int = 1) -> bool:
     """Whether at least `count` vertices in `vertices` reach a sink along
     residual darts: one reverse search from `sinks`, with the dart test
     of `SinkLabels.relabel` (a seen tail first, then the residual), that
-    returns once it has met that many."""
+    returns once it has met that many (at once, False, when fewer are
+    given)."""
+    wanted = set(vertices)
+    if len(wanted) < count:
+        return False
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
     cap = state.capacity
     flow = state.flow
-    wanted = set(vertices)
     seen = bytearray(g.vertex_count)
     for t in sinks:
         seen[t] = 1

@@ -5,26 +5,24 @@ Two independent algorithms are provided:
 * ``sequential_saturation`` exhausts each source against every sink on the
   residual graph, in the given order; grouping all sinks per source makes
   the final flow maximum regardless of order.
-* ``solve_recursive`` first saturates the top level's sources in order, on
-  one state, until a source's turn comes after ``params.budget`` sources
-  whose pushes added flow, each counted once however many sinks it fed;
-  with few sources the sinks' darts are the min cut, and a few sources
-  fill them. The top level is divided, on that state, only if it has
-  more than ``r`` vertices and one reverse residual search from the
-  sinks (``reaches_a_sink``) finds two of the other sources still
-  reaching a sink; otherwise they are saturated too and nothing is
-  divided, so no hook fires. Every source stays in the level instance: a
-  saturated one reaches no sink, so a piece that holds only such sources
-  is skipped (below), but one may reach a sink again after another
-  source's piece moves flow, and only as a source is it pushed again. A
-  budget of 0 skips this step: the solve is the plain recursion. Below
-  the top level, and at it after the budget, the solver divides each
-  level instance that has more than ``r`` vertices and at least two
-  sources into hole-bounded pieces (``divide``); any other level, as is
-  one whose division fails, is solved by saturating its sources on its
-  state, since with one source there are no sources for a piece's
-  boundary vertices to stand in for (a source the budget saturated adds
-  nothing). Per piece it runs a three-phase push: interior sources to
+* ``solve_recursive`` solves every level, the top one and each phase-1
+  sub-instance, by one procedure (``_solve``) on one state and one
+  ``SinkLabels`` per sink. At the top level only, it first saturates the
+  sources in order until a source's turn comes after ``params.budget``
+  sources whose pushes added flow, each counted once however many sinks
+  it fed; with few sources the sinks' darts are the min cut, and a few
+  sources fill them. A budget of 0 skips this step. A level is then
+  divided into hole-bounded pieces (``divide``) only if it has more than
+  ``r`` vertices and one reverse residual search from the sinks
+  (``reaches_a_sink``) finds two of the sources the budget left still
+  reaching a sink, since a piece's boundary vertices stand in for its
+  sources and with fewer there are none to replace. Any other level, as
+  is one whose division fails, is finished by saturating those sources
+  on the same labels, and no hook fires for it. Every source stays in the level
+  instance: a saturated one reaches no sink, so a piece that holds only
+  such sources is skipped (below), but one may reach a sink again after
+  another source's piece moves flow, and only as a source is it pushed
+  again. Per piece it runs a three-phase push: interior sources to
   the piece boundary (by solving, recursively, the sub-instance
   ``attach_super_sinks`` makes of the piece's residual graph, with one
   super sink per hole), boundary vertices to the sinks (sources
@@ -43,8 +41,8 @@ Two independent algorithms are provided:
 in a given order; it exists to demonstrate that ungrouped pair orders are
 not optimal in general.
 
-Sequential saturation, the top level's budgeted saturation, the
-recursion's base case and phase 2 are one push loop (``_saturate``). The
+Sequential saturation, a level's saturation (the budget's and the rest's,
+on one set of labels) and phase 2 are one push loop (``_saturate``). The
 budget counts sources whose pushes added flow, not pushes or work done,
 so the flows do not depend on the engine or on the labels it shares. The
 loop keeps one ``SinkLabels`` per sink (see ``maxflow``): distances to
@@ -104,7 +102,7 @@ NO_TRACE = SolveTrace()
 
 
 def _saturate(state: FlowState, vertices, sources, sinks, engine,
-              budget: int | None = None) -> int:
+              budget: int | None = None, labels=None) -> int:
     """Push each vertex in `vertices`, in order, to each sink, in order;
     return how many vertices it finished.
 
@@ -114,7 +112,8 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
     (sources, at the top level) whose pushes added flow: a vertex counts
     once, however many sinks it fed, so with one sink the count is that
     of the pushes that added flow.
-    `labels[j]` serves every push into ``sinks[j]``, and after a push
+    `labels[j]` (fresh when `labels` is None; a later call may go on with
+    the same list) serves every push into ``sinks[j]``, and after a push
     that adds flow into ``sinks[j]`` only the labels of ``sinks[j+1:]``
     are discarded. A vertex pushes into ``sinks[j]`` only once it cannot
     reach any earlier sink t. The vertices that cannot reach t are
@@ -124,7 +123,8 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
     arc of a vertex outside the set changes, whose current-arc pointers
     stay valid.
     """
-    labels = [SinkLabels(t) for t in sinks]
+    if labels is None:
+        labels = [SinkLabels(t) for t in sinks]
     fed = 0  # vertices whose pushes added flow
     for i, p in enumerate(vertices):
         if budget is not None and fed >= budget:
@@ -211,27 +211,31 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
 
 
 def _solve(instance: Instance, params: DivisionParams, engine,
-           trace: SolveTrace, depth: int = 0,
-           state: FlowState | None = None) -> FlowState:
-    """Solve `instance` on `state` (a zero flow when None): divide the
-    level and run its pieces, or saturate its sources."""
+           trace: SolveTrace, depth: int = 0, budget: int = 0) -> FlowState:
+    """Solve `instance` from a zero flow: saturate its sources until
+    `budget` of them added flow (none when 0), then divide the level and
+    run its pieces if it has more than ``r`` vertices and two of the
+    sources left reach a sink; otherwise, or if the division fails,
+    saturate those sources on the same labels."""
+    state = FlowState.from_instance(instance)
+    sources = set(instance.sources)
+    labels = [SinkLabels(t) for t in instance.sinks]
+    done = _saturate(state, instance.sources, sources, instance.sinks, engine,
+                     budget, labels) if budget else 0
+    rest = instance.sources[done:]
     division = None
-    # A level with one source has no set of sources for phase 2's boundary
-    # vertices to replace, so it is saturated like one of at most r vertices.
-    if instance.graph.vertex_count > params.r and len(instance.sources) > 1:
+    # With fewer than two sources left reaching a sink, phase 2's boundary
+    # vertices have no set of sources to replace.
+    if (instance.graph.vertex_count > params.r
+            and reaches_a_sink(state, rest, instance.sinks, 2)):
         try:
             division = divide(instance, params)
         except (CannotSatisfyBounds, SeparatorFailed):
             # Degenerate small levels (many super sinks on few vertices) can
             # defeat the bound machinery; source saturation stays correct.
             pass
-    if state is None:
-        state = FlowState.from_instance(instance)
     if division is None:
-        # sources already saturated on `state` reach no sink: their pushes
-        # add nothing
-        _saturate(state, instance.sources, set(instance.sources),
-                  instance.sinks, engine)
+        _saturate(state, rest, sources, instance.sinks, engine, labels=labels)
         return state
     trace.division_made(instance, division, depth)
     for piece in division.pieces:
@@ -255,24 +259,13 @@ def solve_recursive(instance: Instance, params: DivisionParams | None = None,
     The top level's sources are first saturated in order until
     ``params.budget`` sources whose pushes added flow are finished, each
     counted once however many sinks it fed (none with a budget of 0).
-    The level is then divided, on that state, only if it has more than
-    ``params.r`` vertices and two of the other sources still reach a
-    sink; otherwise those are saturated too.
+    Every level, this one included, is then divided only if it has more
+    than ``params.r`` vertices and two of the sources left still reach a
+    sink; otherwise those are saturated too (see ``_solve``).
     """
     if params is None:
         params = DivisionParams()
     if len(instance.sinks) > params.sink_bound:
         raise TooManySinks(
             f"{len(instance.sinks)} sinks exceed the bound {params.sink_bound}")
-    if not params.budget:
-        return _solve(instance, params, engine, trace)
-    state = FlowState.from_instance(instance)
-    sources = set(instance.sources)
-    done = _saturate(state, instance.sources, sources, instance.sinks, engine,
-                     params.budget)
-    rest = instance.sources[done:]
-    if (instance.graph.vertex_count <= params.r or len(rest) < 2
-            or not reaches_a_sink(state, rest, instance.sinks, 2)):
-        _saturate(state, rest, sources, instance.sinks, engine)
-        return state
-    return _solve(instance, params, engine, trace, state=state)
+    return _solve(instance, params, engine, trace, budget=params.budget)

@@ -14,7 +14,7 @@ from planarflow import (DivisionParams, FlowState, Instance, SolveTrace,
                         validate_flow)
 from planarflow import solver
 from planarflow.errors import CannotSatisfyBounds, SeparatorFailed
-from planarflow.maxflow import SinkLabels, blocking_flow
+from planarflow.maxflow import SinkLabels, blocking_flow, reaches_a_sink
 from conftest import corpus, reaching, thin_sources
 
 SINGLE_EDGE = "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 9 0\nsrc 0\nsnk 1\n"
@@ -449,8 +449,10 @@ def test_one_source_level_is_saturated_not_divided():
 
 @pytest.mark.parametrize("variant", ["plain", "thin-sources"])
 def test_every_division_has_two_sources(variant):
-    """Every level that `_solve` divides, at every depth, holds at least
-    two sources, and phase-1 sub-instances are still divided."""
+    """Every level that `_solve` divides, at every depth and at budgets 0
+    and 1, holds two sources that reach a sink from its zero flow, the
+    state it is divided on (at the top level, only without a budget), and
+    phase-1 sub-instances are still divided."""
 
     class Divisions(SolveTrace):
         def __init__(self):
@@ -458,16 +460,20 @@ def test_every_division_has_two_sources(variant):
 
         def division_made(self, instance, division, depth=0):
             assert len(instance.sources) >= 2
+            if depth or not budget:
+                assert reaches_a_sink(FlowState.from_instance(instance),
+                                      instance.sources, instance.sinks, 2)
             self.depths.append(depth)
 
     divisions = Divisions()
-    for base in corpus(12, seed0=6200, max_n=200, max_sources=40,
-                       extra_sinks=2):
-        inst = base if variant == "plain" else thin_sources(base)
-        state = solve_recursive(inst, DivisionParams(r=12, budget=0),
-                                trace=divisions)
-        assert flow_value(state, inst.sinks) == oracle_value(inst)
-        assert validate_flow(inst, state) == []
+    for budget in (0, 1):
+        for base in corpus(12, seed0=6200, max_n=200, max_sources=40,
+                           extra_sinks=2):
+            inst = base if variant == "plain" else thin_sources(base)
+            state = solve_recursive(inst, DivisionParams(r=12, budget=budget),
+                                    trace=divisions)
+            assert flow_value(state, inst.sinks) == oracle_value(inst)
+            assert validate_flow(inst, state) == []
     assert any(depth >= 1 for depth in divisions.depths)
 
 
@@ -504,14 +510,26 @@ class _TopDivisions(SolveTrace):
         self.count += depth == 0
 
 
-def test_budget_interpolates_between_the_solvers():
+def test_budget_interpolates_between_the_solvers(monkeypatch):
     """Every push budget gives a maximum, valid flow on several sinks,
     one-way and 10^12 arcs and thin sources included, also where the top
     level is divided after the budget. A budget no solve can spend is
     sequential saturation dart for dart. A budget of 0 is the recursion
     without one: `test_flows_are_pinned` pins its flows to the digests
-    the solver had before the budget existed."""
+    the solver had before the budget existed. A solve with a budget that
+    divides no level is one push loop on one set of labels: sequential
+    saturation's flow, with as many reverse searches."""
+    relabel = SinkLabels.relabel
+    relabels = 0
+
+    def counting_relabel(self, state, s):
+        nonlocal relabels
+        relabels += 1
+        relabel(self, state, s)
+
+    monkeypatch.setattr(SinkLabels, "relabel", counting_relabel)
     divided = {}
+    undivided = 0
     for i, base in enumerate(corpus(12, seed0=4600, max_n=150,
                                     extra_sinks=2)):
         for variant, inst in (
@@ -519,16 +537,25 @@ def test_budget_interpolates_between_the_solvers():
                 ("zero-and-big", _with_zero_and_big_darts(base, 4600 + i)),
                 ("thin-sources", thin_sources(base))):
             want = oracle_value(inst)
+            relabels = 0
+            sequential = sequential_saturation(inst)
+            sequential_relabels = relabels
             for budget in (0, 1, 2, 8, 10 ** 9):
                 top = _TopDivisions()
+                relabels = 0
                 state = solve_recursive(
                     inst, DivisionParams(r=12, budget=budget), trace=top)
                 assert flow_value(state, inst.sinks) == want
                 assert validate_flow(inst, state) == []
                 assert is_max_preflow(state, inst.sources, inst.sinks)[0]
                 divided[budget] = divided.get(budget, 0) + top.count
-            assert state.flow == sequential_saturation(inst).flow
-    print(f"[report] top levels divided per budget: {divided}")
+                if budget in (1, 2, 8) and not top.count:
+                    assert state.flow == sequential.flow
+                    assert relabels == sequential_relabels
+                    undivided += 1
+            assert state.flow == sequential.flow
+    print(f"[report] top levels divided per budget: {divided}; "
+          f"{undivided} solves at b in (1, 2, 8) divide none")
     assert divided[1] > 0 and divided[10 ** 9] == 0
 
 
@@ -554,11 +581,13 @@ def test_budget_counts_sources_not_pushes(monkeypatch):
 
     saturate = solver._saturate
 
-    def per_push(state, vertices, sources, sinks, engine, budget=None):
+    def per_push(state, vertices, sources, sinks, engine, budget=None,
+                 labels=None):
         """The loop with its budget counted per push that added flow; a
         loop per vertex gives the same flows, as labels change no path."""
         if budget is None:
-            return saturate(state, vertices, sources, sinks, engine)
+            return saturate(state, vertices, sources, sinks, engine,
+                            labels=labels)
         pushes = 0
 
         def counting(*args):
@@ -570,7 +599,7 @@ def test_budget_counts_sources_not_pushes(monkeypatch):
         for i, p in enumerate(vertices):
             if pushes >= budget:
                 return i
-            saturate(state, [p], sources, sinks, counting)
+            saturate(state, [p], sources, sinks, counting, labels=labels)
         return len(vertices)
 
     by_sources, by_pushes = _TopDivisions(), _TopDivisions()
@@ -827,10 +856,10 @@ def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
     """When `divide` cannot meet the bounds, `_solve` saturates the level's
     sources instead; the flow stays maximum and valid. At the top level
     the fallback continues on the state the budget's saturation left, as
-    one more push loop over every source, so the flow is sequential
-    saturation's dart for dart. (At b=8 this corpus's top levels all
-    finish by saturation; at b=1 one divides after the budget, and
-    falls back.)"""
+    one more push loop over the remaining sources, on the same labels, so
+    the flow is sequential saturation's dart for dart. (At b=8 this
+    corpus's top levels all finish by saturation; at b=1 one divides after
+    the budget, and falls back.)"""
     fallbacks = []
     divide_level = solver.divide
     saturate = solver._saturate
@@ -844,10 +873,11 @@ def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
             raise
 
     def recording_saturate(state, vertices, sources, sinks, engine,
-                           budget=None):
+                           budget=None, labels=None):
         if state.graph is top.graph:
             loops.append(state)
-        return saturate(state, vertices, sources, sinks, engine, budget)
+        return saturate(state, vertices, sources, sinks, engine, budget,
+                        labels)
 
     monkeypatch.setattr(solver, "divide", counting_divide)
     monkeypatch.setattr(solver, "_saturate", recording_saturate)
