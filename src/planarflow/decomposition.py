@@ -17,7 +17,7 @@ every finished piece has them.
 
 Separators are fundamental cycles of a BFS tree in a ``Fan``: the piece
 with its faces fanned into triangles in one pass, never built as a graph.
-Its rotations grow as ``embedding.splice`` grows them
+Its rotations grow as ``embedding.insert_vertices_in_faces`` grows them
 (``embedding.grow_rotations``), and its faces come straight from the
 fans. The fan may have parallel edges, so a fundamental cycle may have
 two darts. Candidates are ranked by dual-tree subtree weights, the two
@@ -348,7 +348,7 @@ class DivisionParams:
 
     sink_bound: int = 6      # t: max sinks per recursive instance
     r: int = 64              # base-case size: recursion stops at or below
-    budget: int = 8          # b: top-level sources whose pushes added flow
+    budget: int = 8          # b: sources per level whose pushes added flow
 
     def __post_init__(self):
         if self.sink_bound < 2:

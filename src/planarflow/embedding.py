@@ -6,21 +6,22 @@ outgoing darts in cyclic order. Faces are derived by traversal, and a
 rotation system is accepted as planar exactly when Euler's formula holds
 for every connected component.
 
-A graph grows in one way: `splice` copies the rotations with new darts
-right after given darts (`grow_rotations`), appends the rotations of new
-vertices, and builds once. Super sinks inside faces
-(`insert_vertices_in_faces`) go through it, and the fan chords of a
-separator's triangulation (``decomposition.triangulate``) grow the
-rotations the same way without a build, so every old dart and vertex
-keeps its id. `components` is the one component search, used for
-`component_count` and by divisions, and `induced_subgraph` cuts out a
-subgraph with its vertex and edge ids.
+A graph grows in one way: `grow_rotations` copies the rotations with new
+darts right after given darts. Super sinks inside faces
+(`insert_vertices_in_faces`) append the rotations of the new vertices
+to the grown ones and build once, and the fan chords of a separator's
+triangulation (``decomposition.triangulate``) grow the rotations the
+same way without a build, so every old dart and vertex keeps its id.
+`components` is the one component search, used for `component_count`
+and by divisions, and `induced_subgraph` cuts out a subgraph with its
+vertex and edge ids.
 
 Every graph from input (`build_graph`, so every parsed and generated
-graph) is checked in full. A graph that `induced_subgraph` or `splice`
-derives from one already built passes its dart tails to the constructor,
-which then skips the structure check and the copies of edges and
-rotations; its face traversal and Euler check still run.
+graph) is checked in full. A graph that `induced_subgraph` or
+`insert_vertices_in_faces` derives from one already built passes its
+dart tails to the constructor, which then skips the structure check and
+the copies of edges and rotations; its face traversal and Euler check
+still run.
 
 Dart numbering convention: edge ``e = (u, v)`` owns darts ``2e`` (u -> v)
 and ``2e + 1`` (v -> u); ``rev(d) == d ^ 1``.
@@ -43,9 +44,9 @@ class EmbeddedGraph:
         dart_tails: tail vertex of every dart.
 
     Pass `dart_tails` only for a graph derived from a validated one, as
-    `induced_subgraph` and `splice` do: the structure check and the copies
-    of `edges` and `rotations` are then skipped. Faces and Euler's formula
-    are checked either way.
+    `induced_subgraph` and `insert_vertices_in_faces` do: the structure
+    check and the copies of `edges` and `rotations` are then skipped.
+    Faces and Euler's formula are checked either way.
     """
 
     __slots__ = (
@@ -252,30 +253,6 @@ def grow_rotations(rotations: list[list[int]],
     return grown_rotations
 
 
-def splice(g: EmbeddedGraph, edges: list[tuple[int, int]],
-           after: dict[int, list[int]], new_rotations=()) -> EmbeddedGraph:
-    """`g` grown by new darts, in one graph build.
-
-    `edges` holds `g.edges` as a prefix, then the new edges. Each rotation
-    of `g` is copied with the darts `after[d]` right after dart `d`
-    (`grow_rotations`), and `new_rotations` are the rotations of new
-    vertices ``g.vertex_count``, ``g.vertex_count + 1``, ... So every old
-    dart and vertex keeps its id. `g` itself is returned when there is
-    nothing to add. The caller places each new dart at its tail: the
-    build skips the structure check, though faces and Euler's formula
-    are still checked.
-    """
-    if not after and not new_rotations:
-        return g
-    rotations = grow_rotations(g.rotations, after)
-    rotations.extend(list(rot) for rot in new_rotations)
-    tails = list(g.dart_tails)
-    for edge in edges[g.edge_count:]:
-        tails += edge
-    return EmbeddedGraph(g.vertex_count + len(new_rotations), edges,
-                         rotations, tails)
-
-
 def insert_vertices_in_faces(g: EmbeddedGraph,
                              corner_lists: list[list[int]]) -> EmbeddedGraph:
     """Insert one new vertex per corner list, all in a single graph build.
@@ -285,8 +262,14 @@ def insert_vertices_in_faces(g: EmbeddedGraph,
     corner dart may appear in two lists. The new vertices are
     ``g.vertex_count``, ``g.vertex_count + 1``, ... and their edges are
     appended, both in list order, so capacities or flows indexed by dart
-    carry over unchanged. An empty batch returns `g`.
+    carry over unchanged: each rotation of `g` is copied with the new
+    darts right after the darts they follow (`grow_rotations`). An empty
+    batch returns `g`. Every new dart is placed at its tail, so the build
+    skips the structure check, though faces and Euler's formula are still
+    checked.
     """
+    if not corner_lists:
+        return g
     n = g.vertex_count
     edges = list(g.edges)
     after: dict[int, list[int]] = {}  # rev(arrival dart) -> new dart at anchor
@@ -315,4 +298,8 @@ def insert_vertices_in_faces(g: EmbeddedGraph,
         # Apex sees its anchors in reverse walk order (face traversal closes
         # each sub-face by stepping backwards around the new vertex).
         apex_rotations.append([2 * e + 1 for e in reversed(ids)])
-    return splice(g, edges, after, apex_rotations)
+    rotations = grow_rotations(g.rotations, after) + apex_rotations
+    tails = list(g.dart_tails)
+    for edge in edges[g.edge_count:]:
+        tails += edge
+    return EmbeddedGraph(n + len(apex_rotations), edges, rotations, tails)

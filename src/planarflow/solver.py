@@ -7,11 +7,11 @@ Two independent algorithms are provided:
   the final flow maximum regardless of order.
 * ``solve_recursive`` solves every level, the top one and each phase-1
   sub-instance, by one procedure (``_solve``) on one state and one
-  ``SinkLabels`` per sink. At the top level only, it first saturates the
-  sources in order until a source's turn comes after ``params.budget``
-  sources whose pushes added flow, each counted once however many sinks
-  it fed; with few sources the sinks' darts are the min cut, and a few
-  sources fill them. A budget of 0 skips this step. A level is then
+  ``SinkLabels`` per sink. It first saturates the level's sources in
+  order until a source's turn comes after ``params.budget`` sources
+  whose pushes added flow, each counted once however many sinks it fed;
+  with few sources the sinks' darts are the min cut, and a few sources
+  fill them. A budget of 0 skips this step. A level is then
   divided into hole-bounded pieces (``divide``) only if it has more than
   ``r`` vertices and one reverse residual search from the sinks
   (``reaches_a_sink``) finds two of the sources the budget left still
@@ -109,7 +109,7 @@ def _saturate(state: FlowState, vertices, sources, sinks, engine,
     A vertex in `sources` pushes unbounded; any other pushes at most its
     excess and stops once that is spent. With a `budget`, the loop stops
     before the next vertex once it has finished that many vertices
-    (sources, at the top level) whose pushes added flow: a vertex counts
+    (a level's sources) whose pushes added flow: a vertex counts
     once, however many sinks it fed, so with one sink the count is that
     of the pushes that added flow.
     `labels[j]` (fresh when `labels` is None; a later call may go on with
@@ -211,17 +211,17 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
 
 
 def _solve(instance: Instance, params: DivisionParams, engine,
-           trace: SolveTrace, depth: int = 0, budget: int = 0) -> FlowState:
+           trace: SolveTrace, depth: int = 0) -> FlowState:
     """Solve `instance` from a zero flow: saturate its sources until
-    `budget` of them added flow (none when 0), then divide the level and
-    run its pieces if it has more than ``r`` vertices and two of the
-    sources left reach a sink; otherwise, or if the division fails,
+    ``params.budget`` of them added flow (none when 0), then divide the
+    level and run its pieces if it has more than ``r`` vertices and two of
+    the sources left reach a sink; otherwise, or if the division fails,
     saturate those sources on the same labels."""
     state = FlowState.from_instance(instance)
     sources = set(instance.sources)
     labels = [SinkLabels(t) for t in instance.sinks]
     done = _saturate(state, instance.sources, sources, instance.sinks, engine,
-                     budget, labels) if budget else 0
+                     params.budget, labels)
     rest = instance.sources[done:]
     division = None
     # With fewer than two sources left reaching a sink, phase 2's boundary
@@ -256,16 +256,16 @@ def solve_recursive(instance: Instance, params: DivisionParams | None = None,
     """Maximum flow from the instance's sources to its sinks by recursive
     division into pieces; at most ``params.sink_bound`` sinks are allowed.
 
-    The top level's sources are first saturated in order until
-    ``params.budget`` sources whose pushes added flow are finished, each
-    counted once however many sinks it fed (none with a budget of 0).
-    Every level, this one included, is then divided only if it has more
-    than ``params.r`` vertices and two of the sources left still reach a
-    sink; otherwise those are saturated too (see ``_solve``).
+    Every level, the top one and each phase-1 sub-instance, first
+    saturates its sources in order until ``params.budget`` sources whose
+    pushes added flow are finished, each counted once however many sinks
+    it fed (none with a budget of 0). It is then divided only if it has
+    more than ``params.r`` vertices and two of the sources left still
+    reach a sink; otherwise those are saturated too (see ``_solve``).
     """
     if params is None:
         params = DivisionParams()
     if len(instance.sinks) > params.sink_bound:
         raise TooManySinks(
             f"{len(instance.sinks)} sinks exceed the bound {params.sink_bound}")
-    return _solve(instance, params, engine, trace, budget=params.budget)
+    return _solve(instance, params, engine, trace)

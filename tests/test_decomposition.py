@@ -522,11 +522,11 @@ def test_divide_builds_each_side_once_and_walks_finished_holes(monkeypatch):
 
 
 def test_derived_builds_match_a_checked_build(monkeypatch):
-    """A graph that `induced_subgraph` or `splice` derives from a validated
-    graph skips the structure check. Every one made while solving the
-    criteria 4 and 6 corpora and the three pinned instances, rebuilt
-    through `build_graph` with every check, has the same faces, dart
-    faces, dart tails and component count."""
+    """A graph that `induced_subgraph` or `insert_vertices_in_faces`
+    derives from a validated graph skips the structure check. Every one
+    made while solving the criteria 4 and 6 corpora and the three pinned
+    instances, rebuilt through `build_graph` with every check, has the
+    same faces, dart faces, dart tails and component count."""
     init = dec.EmbeddedGraph.__init__
     derived = 0
     mismatches = []

@@ -449,24 +449,24 @@ def test_one_source_level_is_saturated_not_divided():
 
 @pytest.mark.parametrize("variant", ["plain", "thin-sources"])
 def test_every_division_has_two_sources(variant):
-    """Every level that `_solve` divides, at every depth and at budgets 0
-    and 1, holds two sources that reach a sink from its zero flow, the
-    state it is divided on (at the top level, only without a budget), and
-    phase-1 sub-instances are still divided."""
+    """Every level that `_solve` divides, at every depth and at budgets 0,
+    1 and 8, holds two sources that still reach a sink once its own
+    budget's loop has run from its zero flow, the state it is divided on;
+    and phase-1 sub-instances are still divided."""
 
     class Divisions(SolveTrace):
         def __init__(self):
             self.depths = []
 
-        def division_made(self, instance, division, depth=0):
-            assert len(instance.sources) >= 2
-            if depth or not budget:
-                assert reaches_a_sink(FlowState.from_instance(instance),
-                                      instance.sources, instance.sinks, 2)
+        def division_made(self, level, division, depth=0):
+            state = FlowState.from_instance(level)
+            done = solver._saturate(state, level.sources, set(level.sources),
+                                    level.sinks, None, budget)
+            assert reaches_a_sink(state, level.sources[done:], level.sinks, 2)
             self.depths.append(depth)
 
     divisions = Divisions()
-    for budget in (0, 1):
+    for budget in (0, 1, 8):
         for base in corpus(12, seed0=6200, max_n=200, max_sources=40,
                            extra_sinks=2):
             inst = base if variant == "plain" else thin_sources(base)
@@ -854,12 +854,12 @@ def test_dead_sets_stay_true_through_the_push_loop():
 
 def test_division_fallback_saturates_to_the_oracle_value(monkeypatch):
     """When `divide` cannot meet the bounds, `_solve` saturates the level's
-    sources instead; the flow stays maximum and valid. At the top level
-    the fallback continues on the state the budget's saturation left, as
-    one more push loop over the remaining sources, on the same labels, so
-    the flow is sequential saturation's dart for dart. (At b=8 this
-    corpus's top levels all finish by saturation; at b=1 one divides after
-    the budget, and falls back.)"""
+    sources instead; the flow stays maximum and valid. At every level the
+    fallback continues on the state that level's budget loop left, as one
+    more push loop over the remaining sources, on the same labels; at the
+    top level the flow is then sequential saturation's dart for dart.
+    (At b=8 this corpus's top levels all finish by saturation; at b=1 one
+    divides after the budget, and falls back.)"""
     fallbacks = []
     divide_level = solver.divide
     saturate = solver._saturate
