@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -33,8 +34,12 @@ def _number(text: str, name: str) -> int:
         raise InvalidParams(f"{name} needs an integer, got {text!r}") from None
 
 
+# --params key -> DivisionParams field
+_PARAM_FIELDS = {"r": "r", "t": "sink_bound", "b": "budget"}
+
+
 def _parse_params(spec: str | None) -> DivisionParams:
-    """Parse ``r=64,t=6,b=8`` style division values."""
+    """Parse ``r=64,t=6,b=8`` style division values; a key may appear once."""
     kwargs = {}
     if spec:
         for item in spec.split(","):
@@ -44,14 +49,12 @@ def _parse_params(spec: str | None) -> DivisionParams:
                 raise InvalidParams(f"bad params item {item!r}")
             key, _, val = item.partition("=")
             key = key.strip()
-            if key == "r":
-                kwargs["r"] = _number(val, key)
-            elif key == "t":
-                kwargs["sink_bound"] = _number(val, key)
-            elif key == "b":
-                kwargs["budget"] = _number(val, key)
-            else:
+            if key not in _PARAM_FIELDS:
                 raise InvalidParams(f"unknown params key {key!r}")
+            field = _PARAM_FIELDS[key]
+            if field in kwargs:
+                raise InvalidParams(f"repeated params key {key!r}")
+            kwargs[field] = _number(val, key)
     return DivisionParams(**kwargs)
 
 
@@ -220,8 +223,7 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     sizes = [_number(s, "--sizes") for s in args.sizes.split(",") if s]
     if sizes != sorted(sizes):
-        print("sizes must be ascending", file=sys.stderr)
-        return 2
+        raise InvalidParams("sizes must be ascending")
     seeds = ([_number(s, "--seeds") for s in (args.seeds or "").split(",")
               if s] or [_default_seed(None)])
     params = _parse_params(args.params)
@@ -237,14 +239,12 @@ def cmd_bench(args) -> int:
             actual_n = inst.graph.vertex_count
             print(f"{actual_n:>10} {seed:>6} {elapsed:>10.3f} {value:>10}")
             points.append((actual_n, elapsed))
-    if len(sizes) >= 2:
+    # repeated sizes, or distinct ones that make the same grid, give one
+    # vertex count: no slope to fit
+    if len({n for n, _ in points}) >= 2:
         xs = [math.log(n) for n, _ in points]
         ys = [math.log(max(t, 1e-9)) for _, t in points]
-        xbar = sum(xs) / len(xs)
-        ybar = sum(ys) / len(ys)
-        var = sum((x - xbar) ** 2 for x in xs)
-        cov = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-        print(f"exponent {cov / var:.3f}" if var > 0 else "exponent n/a")
+        print(f"exponent {statistics.linear_regression(xs, ys).slope:.3f}")
     else:
         print("exponent n/a")
     return 0

@@ -24,19 +24,18 @@ searches from `s` only along admissible arcs, residual darts on which
 `dist` falls by 1, and relabels when the search from `s` is blocked,
 until ``dist[s] == n``; a blocked `s` that no residual dart leaves is
 not relabelled but set to ``dist[s] = n``, which is exact and keeps the
-labels valid. When there are no labels yet, such an `s` makes no reverse
-search either: every other vertex is labelled 0, a valid lower bound,
-so the next push into `t` from another vertex is blocked at once and
-relabels. Augmenting along admissible arcs adds only arcs
-on which `dist` rises, so the labels stay valid lower bounds, a dead end
-stays dead and no skipped arc becomes admissible. That holds for the
-next source pushing into `t` too, so one `SinkLabels` serves every push
-into `t` of a push loop; a source labelled below its true distance finds
-no admissible path, so its search is blocked and relabels. A vertex
-labelled n is *dead* for `t`: it cannot reach `t`, and `max_st_flow`
-returns 0 for it without calling the engine. A push into another sink
-may add arcs the labels do not know of; the caller then sets `dist` to
-None, and the engine relabels before it searches.
+labels valid. Labels that do not exist yet start at 0, a valid lower
+bound for every vertex, so the first search from `s` is blocked at once
+and takes that same branch. Augmenting along admissible arcs adds only
+arcs on which `dist` rises, so the labels stay valid lower bounds, a
+dead end stays dead and no skipped arc becomes admissible. That holds
+for the next source pushing into `t` too, so one `SinkLabels` serves
+every push into `t` of a push loop; a source labelled below its true
+distance finds no admissible path, so its search is blocked and
+relabels. A vertex labelled n is *dead* for `t`: it cannot reach `t`,
+and `max_st_flow` returns 0 for it without calling the engine. A push
+into another sink may add arcs the labels do not know of; the caller
+then sets `dist` to None, and the engine starts them again at 0.
 
 The flows are those of the textbook forward-level Dinic, arc for arc.
 With valid lower-bound labels every admissible `s`-`t` path has exactly
@@ -138,14 +137,10 @@ def blocking_flow(state: FlowState, s: int, t: int,
     flow = state.flow
     n = g.vertex_count
     if labels.dist is None:
-        if not any(cap[d] - flow[d] + flow[d ^ 1] > 0 for d in rot[s]):
-            # no residual dart leaves s: zeros are valid lower bounds, and
-            # dist[s] = n is exact, so no reverse search is needed
-            labels.dist = [0] * n
-            labels.dist[s] = n
-            labels.ptr = [0] * n
-            return 0
-        labels.relabel(state, s)
+        # zeros are valid lower bounds: the search from s is blocked at
+        # once, and the blocked-at-s branch below cuts s off or relabels
+        labels.dist = [0] * n
+        labels.ptr = [0] * n
     dist = labels.dist
     ptr = labels.ptr
     total = 0

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -42,6 +43,19 @@ def test_solve_single_edge_prints_value(tmp_path, capsys):
     assert parse_flow(out).value == 9
 
 
+def test_solve_reads_stdin(tmp_path, capsys, monkeypatch):
+    """`solve -` reads the instance from standard input."""
+    path = tmp_path / "inst.plem"
+    run(["gen", "--kind", "triangulation", "--n", "40", "--seed", "3",
+         "--sources", "4", "-o", str(path)], capsys)
+    code, from_path, _ = run(["solve", str(path)], capsys)
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    code, from_stdin, _ = run(["solve", "-"], capsys)
+    assert code == 0
+    assert from_stdin == from_path
+
+
 def test_solve_sequential_on_fig1(tmp_path, capsys):
     code, out, _ = run(["fig1"], capsys)
     assert code == 0
@@ -59,6 +73,18 @@ def test_verify_cross_checks_solvers(tmp_path, capsys):
     assert code == 0
     assert "PASS sequential-matches-oracle" in out
     assert "PASS recursive-matches-oracle" in out
+    # 7 sinks: sequential saturation takes any number, the recursion at
+    # most t = 6
+    inst = generate_instance("grid", 25, 0, 9, 2)
+    free = [v for v in range(inst.graph.vertex_count)
+            if v not in inst.sources and v not in inst.sinks]
+    path.write_text(write_instance(Instance(
+        inst.graph, inst.capacities, inst.sources, inst.sinks + free[:6])))
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert "PASS sequential-matches-oracle" in out
+    assert out.splitlines()[-1] == \
+        "FAIL recursive-solver 7 sinks exceed the bound 6"
 
 
 def test_verify_rejects_tampered_flow(tmp_path, capsys):
@@ -78,6 +104,11 @@ def test_verify_rejects_tampered_flow(tmp_path, capsys):
     code, out, _ = run(["verify", str(plem), "--flow", str(pflo)], capsys)
     assert code == 1
     assert "FAIL flow-valid" in out
+    # a dart the instance does not have: one FAIL line, no further check
+    pflo.write_text("flow 99 1\nvalue 1\n")
+    code, out, _ = run(["verify", str(plem), "--flow", str(pflo)], capsys)
+    assert code == 1
+    assert out == "FAIL flow-valid dart 99 out of range\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -148,11 +179,15 @@ def test_removed_params_key_rejected(tmp_path, capsys):
     (["solve", "{inst}", "--params", "b=-1"], None),
     (["verify", "{inst}", "--params", "b=1.5"], None),
     (["bench", "--sizes", "100", "--params", "b=-1"], None),
+    (["bench", "--sizes", "200,100"], None),
+    (["solve", "{inst}", "--params", "r=64,r=12"], None),
+    (["solve", "{inst}", "--params", "r"], None),
 ], ids=["solve-c_p", "solve-r", "solve-boundary-nan", "solve-t",
         "solve-sequential-p", "verify-c_p",
         "verify-r", "verify-p", "verify-r-too-small", "bench-c_p", "bench-r",
         "bench-sizes", "bench-seeds", "gen-env-seed", "fig1-search-0",
-        "fig1-search-negative", "solve-b-negative", "verify-b", "bench-b"])
+        "fig1-search-negative", "solve-b-negative", "verify-b", "bench-b",
+        "bench-sizes-descending", "solve-repeated-key", "solve-bad-item"])
 def test_malformed_numbers_exit_2(argv, env_seed, tmp_path, capsys,
                                   monkeypatch):
     path = tmp_path / "edge.plem"
@@ -173,6 +208,15 @@ def test_engine_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--engine", "dinic", "solve", str(path)])
     assert exc.value.code == 2
+
+
+def test_fig1_search_failure_exits_3(tmp_path, capsys):
+    """A bounded search that finds no counterexample is a solver error."""
+    out = tmp_path / "fig1.plem"
+    code, _, err = run(["fig1", "--search", "1", "-o", str(out)], capsys)
+    assert code == 3
+    assert "search failed" in err
+    assert not out.exists()
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -196,10 +240,17 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_single_size_reports_na(capsys):
-    code, out, _ = run(["bench", "--sizes", "100", "--seeds", "0",
-                        "--cap-max", "5", "--sources", "2"], capsys)
-    assert code == 0
-    assert "exponent n/a" in out
+    """Points that all have one vertex count have no slope: one size, a
+    repeated size, or two sizes that make the same 17x17 grid."""
+    for sizes, seeds, n in (("100", "0", "100"), ("289,289,289", "0", "289"),
+                            ("289,290", "0,1,2", "289")):
+        code, out, _ = run(["bench", "--sizes", sizes, "--seeds", seeds,
+                            "--cap-max", "5", "--sources", "2"], capsys)
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()
+                if line and line.split()[0].isdigit()]
+        assert {row[0] for row in rows} == {n}, sizes
+        assert out.splitlines()[-1] == "exponent n/a", sizes
 
 
 def test_bench_skips_empty_seeds(capsys):

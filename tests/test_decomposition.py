@@ -7,7 +7,7 @@ import pytest
 
 import planarflow.decomposition as dec
 from planarflow import (DivisionParams, Instance, InvalidParams,
-                        SeparatorFailed, attach_super_sinks, build_graph,
+                        NotConnected, SeparatorFailed, attach_super_sinks, build_graph,
                         cycle_separator, divide, generate_instance,
                         grid_graph, induced_subgraph,
                         insert_vertices_in_faces, root_piece,
@@ -187,6 +187,11 @@ def test_triangle_and_4_cycle_have_no_separator():
     for k in (3, 4):
         with pytest.raises(SeparatorFailed):
             cycle_separator(_cycle_graph(k))
+    with pytest.raises(SeparatorFailed, match="too small"):
+        cycle_separator(build_graph(2, [(0, 1)], [[0], [1]]))
+    with pytest.raises(NotConnected, match="connected graph"):
+        cycle_separator(build_graph(4, [(0, 1), (2, 3)],
+                                    [[0], [1], [2], [3]]))
 
 
 @pytest.mark.parametrize("k", [6, 12, 20])

@@ -65,17 +65,26 @@ def test_duplicate_dart_rejected():
     bad = dict(TRIANGLE, rotations=[[0, 5, 0], [2, 1], [4, 3]])
     with pytest.raises(NonEmbedding):
         build_graph(**bad)
+    # dart 4 leaves vertex 2 but sits in the rotation of vertex 1
+    bad = dict(TRIANGLE, rotations=[[0, 5], [2, 4], [1, 3]])
+    with pytest.raises(NonEmbedding, match="dart 4 has tail 2"):
+        build_graph(**bad)
 
 
 def test_missing_dart_rejected():
     bad = dict(TRIANGLE, rotations=[[0], [2, 1], [4, 3]])
     with pytest.raises(NonEmbedding):
         build_graph(**bad)
+    bad = dict(TRIANGLE, rotations=[[0, 5], [2, 1]])
+    with pytest.raises(NonEmbedding, match="expected 3 rotation lists, got 2"):
+        build_graph(**bad)
 
 
 def test_self_loop_rejected():
     with pytest.raises(NonEmbedding):
         build_graph(2, [(0, 0), (0, 1)], [[0, 1, 2], [3]])
+    with pytest.raises(NonEmbedding, match="edge 0 endpoint out of range"):
+        build_graph(2, [(0, 2)], [[0], [1]])
 
 
 def test_toroidal_rotation_fails_euler():
@@ -114,8 +123,15 @@ def test_insert_vertex_single_anchor_keeps_face_count():
 def test_insert_vertices_rejects_a_corner_named_twice():
     g = grid_graph(3, 3)
     quad = next(f for f in g.faces if len(f) == 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="appears in two corner lists"):
         insert_vertices_in_faces(g, [[quad[0]], [quad[0], quad[2]]])
+    with pytest.raises(ValueError, match="duplicate corner vertex"):
+        insert_vertices_in_faces(g, [[quad[0], quad[0]]])
+    with pytest.raises(ValueError, match="need at least one corner dart"):
+        insert_vertices_in_faces(g, [[]])
+    # a grid has no bridge: a dart and its reverse lie on two faces
+    with pytest.raises(ValueError, match="belong to a single face"):
+        insert_vertices_in_faces(g, [[quad[0], quad[0] ^ 1]])
 
 
 def test_isolated_vertex_is_a_component_of_its_own():

@@ -56,6 +56,8 @@ def test_residual_basics():
     st_.push(0, 5)
     assert st_.residual(0) == 0
     assert st_.residual(1) == 5  # reverse gains what the forward lost
+    with pytest.raises(ValueError, match="one capacity per dart"):
+        FlowState(st_.graph, [5])
 
 
 def test_push_respects_normal_form():
@@ -105,6 +107,8 @@ def test_check_cut_saturated():
     assert not check_cut_saturated(state, st_cut)
     state.push(0, 5)
     assert check_cut_saturated(state, st_cut)
+    with pytest.raises(ValueError, match="cut sides overlap"):
+        Cut(frozenset({0}), frozenset({0, 1}))
 
 
 def test_min_cut_of_solved_instance_is_saturated(small_corpus):

@@ -35,17 +35,34 @@ def test_comments_and_whitespace_tolerated():
     assert parse_instance(text).capacities == [9, 0]
 
 
-@pytest.mark.parametrize("mutation", [
-    lambda t: t.replace("plem", "pelm"),
-    lambda t: t.replace("edge 0 0 1 9 0", "edge 0 0 1 9"),
-    lambda t: t.replace("snk 1", ""),
-    lambda t: t.replace("edge 0", "edge 7"),
-    lambda t: t + "trailing junk\n",
-    lambda t: t.replace("src 0", "src"),
-    lambda t: t.replace("edge 0 0 1 9 0", "edge 0 0 1 -2 0"),
-])
-def test_malformed_inputs_rejected(mutation):
-    with pytest.raises(ParseError):
+MALFORMED = [
+    (lambda t: t.replace("plem", "pelm"), "does not start with 'plem'"),
+    (lambda t: t.replace("edge 0 0 1 9 0", "edge 0 0 1 9"),
+     "expected cap_vu, got 'src'"),
+    (lambda t: t.replace("snk 1", ""), "unexpected end of input"),
+    (lambda t: t.replace("edge 0", "edge 7"), "bad or repeated edge id 7"),
+    (lambda t: t + "trailing junk\n", "expected integer, got 'trailing'"),
+    (lambda t: t.replace("src 0", "src"), "at least one source"),
+    (lambda t: t.replace("edge 0 0 1 9 0", "edge 0 0 1 -2 0"),
+     "negative capacity on edge 0"),
+    (lambda t: t.replace("plem 2 1", "plem -1 1"), "negative counts"),
+    (lambda t: t.replace("rot 0 0", "ret 0 0"), "expected 'rot' line"),
+    (lambda t: t.replace("rot 1 1", "rot 0 1"), "bad or repeated rot vertex 0"),
+    (lambda t: t.replace("edge 0 0 1 9 0", "rot 0 0 1 9 0"),
+     "expected 'edge' line"),
+    (lambda t: t.replace("src 0", "scr 0"), "expected 'src' line"),
+    (lambda t: t.replace("snk 1", "src 1"), "expected 'snk' line"),
+    (lambda t: t + "src 0\n", "trailing content: 'src'"),
+]
+
+
+# the first seven cases keep the ids pytest gave them as bare lambdas
+@pytest.mark.parametrize("mutation, message", MALFORMED, ids=[
+    *(f"<lambda>{i}" for i in range(7)), "negative-counts", "rot-keyword",
+    "repeated-rot-vertex", "edge-keyword", "src-keyword", "snk-keyword",
+    "trailing-content"])
+def test_malformed_inputs_rejected(mutation, message):
+    with pytest.raises(ParseError, match=message):
         parse_instance(mutation(SINGLE_EDGE))
 
 
@@ -91,6 +108,11 @@ def test_flow_dump_rejects_repeated_dart():
         parse_flow("flow 1 3\nflow 1 4\nvalue 7\n")
 
 
+def test_flow_dump_rejects_unknown_token():
+    with pytest.raises(ParseError, match="unexpected token 'bogus'"):
+        parse_flow("flow 1 3\nbogus\nvalue 3\n")
+
+
 def test_flow_dump_rejects_repeated_value():
     with pytest.raises(ParseError, match="repeated value"):
         parse_flow("flow 1 3\nvalue 3\nvalue 99\n")
@@ -112,3 +134,5 @@ def test_instance_validation():
         Instance(g, [1] * g.dart_count, [0], [0])
     with pytest.raises(ValueError):
         Instance(g, [1] * g.dart_count, [0], [99])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Instance(g, [1] * (g.dart_count - 1) + [-1], [0], [3])

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import planarflow.embedding as embedding
 from planarflow import (InvalidParams, build_graph, generate_instance,
-                        insert_vertices_in_faces, stacked_triangulation,
-                        write_instance)
+                        grid_graph, insert_vertices_in_faces,
+                        stacked_triangulation, write_instance)
 
 # sha256 of write_instance(generate_instance("triangulation", n, seed, 100, 2)),
 # recorded when every inserted vertex still rebuilt the whole graph
@@ -54,6 +54,11 @@ def test_triangulation_is_euler_valid():
 def test_degenerate_size_rejected():
     with pytest.raises(InvalidParams):
         generate_instance("grid", 1, 1, 10, 1)
+    with pytest.raises(InvalidParams, match="at least two vertices"):
+        grid_graph(1, 1)
+    # a 2x2 grid has room for 3 sources and a sink, not 4 and a sink
+    with pytest.raises(InvalidParams, match="not enough vertices"):
+        generate_instance("grid", 4, 0, 10, 4)
 
 
 @pytest.mark.parametrize("kind,n,cap,k", [

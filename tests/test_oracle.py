@@ -57,6 +57,8 @@ def test_validate_reports_negative_flow():
     inst = parse_instance(SINGLE_EDGE)
     report = validate_flow(inst, [-1, 0])
     assert any("negative" in line for line in report)
+    assert validate_flow(inst, [1]) == [
+        "flow vector has length 1, expected 2"]
 
 
 def test_solver_outputs_always_validate():

@@ -683,17 +683,18 @@ def test_sequential_shares_reverse_searches_across_pushes(monkeypatch):
 def test_blocked_search_does_not_relabel_a_cut_off_vertex(monkeypatch):
     """On thin sources each source's darts out fill up: a search blocked
     at such a source labels it cut off without a reverse search, in both
-    solvers. (Labels that do not exist yet are always searched for.)"""
+    solvers. Labels that do not exist yet start at 0, so a source's first
+    search is blocked at once and takes the same branch: no relabel at
+    all runs for a vertex that no residual dart leaves."""
     relabel = SinkLabels.relabel
     relabels = 0
 
     def checked_relabel(self, state, s):
         nonlocal relabels
-        if self.dist is not None:
-            relabels += 1
-            assert any(state.residual(d) > 0
-                       for d in state.graph.rotations[s]), \
-                f"relabel for vertex {s}, which no residual dart leaves"
+        relabels += 1
+        assert any(state.residual(d) > 0
+                   for d in state.graph.rotations[s]), \
+            f"relabel for vertex {s}, which no residual dart leaves"
         relabel(self, state, s)
 
     monkeypatch.setattr(SinkLabels, "relabel", checked_relabel)
