@@ -148,8 +148,6 @@ def cmd_solve(args) -> int:
             state = solve_recursive(inst, params, trace=trace)
         else:
             state = sequential_saturation(inst)
-    except InvalidParams:
-        raise  # a parameter error: main reports it with exit code 2
     except PlanarFlowError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         trace.finish()
@@ -206,8 +204,6 @@ def cmd_verify(args) -> int:
             report(not validate_flow(inst, rec), "recursive-valid", "")
             report(rec_value == oracle, "recursive-matches-oracle",
                    f"value={rec_value} oracle={oracle}")
-        except InvalidParams:
-            raise  # a parameter error: main reports it with exit code 2
         except PlanarFlowError as exc:
             report(False, "recursive-solver", str(exc))
     return 1 if failures else 0

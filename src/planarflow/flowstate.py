@@ -1,13 +1,17 @@
 """Flow and preflow state over an embedded graph.
 
-Flow is stored per dart in net normal form: of the two opposite darts of
-an edge at most one carries positive flow. Residual capacity of a dart is
-``cap(d) - flow(d) + flow(rev d)``; per-vertex excess (inflow minus
-outflow) is maintained incrementally and recomputable for validation.
-Every flow change goes through `FlowState.push_path`, which sends an
-amount along a walk of darts and changes excess only at the walk's two
-ends; `push` is its one-dart case. The max-flow engine augments a whole
-path, and the cycle canceller cancels a whole cycle, with one call.
+The state stores one residual capacity per dart; the flow is derived
+from it in this module and nowhere else. Pushing `a` units along a dart
+takes `a` from its residual and gives `a` to its reverse's, so the
+residuals of an edge's two darts always sum to the edge's two
+capacities. The flow is read back in net normal form, where of the two
+opposite darts of an edge at most one carries positive flow: a dart
+carries ``cap(d) - res(d)`` when that is positive, else nothing.
+Per-vertex excess (inflow minus outflow) is maintained incrementally. Every flow change goes through
+`FlowState.push_path`, which sends an amount along a walk of darts and
+changes excess only at the walk's two ends; `push` is its one-dart case.
+The max-flow engine augments a whole path, and the cycle canceller
+cancels a whole cycle, with one call.
 """
 
 from __future__ import annotations
@@ -20,9 +24,15 @@ from .errors import CyclicSupport
 
 
 class FlowState:
-    """Mutable capacities/flow/excess bundle bound to one EmbeddedGraph."""
+    """Capacities, residuals and excess bound to one EmbeddedGraph.
 
-    __slots__ = ("graph", "capacity", "flow", "excess", "cancelled_cycles")
+    `res` holds one residual per dart; `flow` reads the flow back in net
+    normal form. Built with a `flow` list, the state starts from each
+    edge's net flow in that list, which need not be in net normal form,
+    and from the excess that the list gives every vertex.
+    """
+
+    __slots__ = ("graph", "capacity", "res", "excess", "cancelled_cycles")
 
     def __init__(self, graph: EmbeddedGraph, capacity: list[int],
                  flow: list[int] | None = None):
@@ -30,43 +40,46 @@ class FlowState:
             raise ValueError("one capacity per dart required")
         self.graph = graph
         self.capacity = list(capacity)
-        self.flow = [0] * graph.dart_count if flow is None else list(flow)
+        self.res = list(capacity)
         self.excess = [0] * graph.vertex_count
         self.cancelled_cycles = 0
         if flow is not None:
-            self._recompute_excess()
+            res = self.res
+            ex = self.excess
+            tails = graph.dart_tails
+            for d, f in enumerate(flow):
+                if f:
+                    res[d] -= f
+                    res[d ^ 1] += f
+                    ex[tails[d ^ 1]] += f
+                    ex[tails[d]] -= f
 
     @classmethod
     def from_instance(cls, instance) -> "FlowState":
         return cls(instance.graph, instance.capacities)
 
-    def _recompute_excess(self) -> None:
-        ex = [0] * self.graph.vertex_count
-        tail = self.graph.tail
-        head = self.graph.head
-        for d, f in enumerate(self.flow):
-            if f:
-                ex[head(d)] += f
-                ex[tail(d)] -= f
-        self.excess = ex
-
     # -- queries -----------------------------------------------------------
+
+    @property
+    def flow(self) -> list[int]:
+        """A new list of the flow per dart, in net normal form."""
+        return [max(c - r, 0) for c, r in zip(self.capacity, self.res)]
 
     def residual(self, dart: int) -> int:
         """Remaining capacity plus cancellable reverse flow."""
-        return self.capacity[dart] - self.flow[dart] + self.flow[dart ^ 1]
+        return self.res[dart]
 
     def net_edge_flow(self, edge: int) -> int:
-        return self.flow[2 * edge] - self.flow[2 * edge + 1]
+        return self.capacity[2 * edge] - self.res[2 * edge]
 
     # -- mutation ------------------------------------------------------------
 
     def push(self, dart: int, amount: int) -> None:
-        """Send `amount` along a dart, keeping net normal form."""
+        """Send `amount` along a dart."""
         self.push_path((dart,), amount)
 
     def push_path(self, darts, amount: int) -> None:
-        """Send `amount` along a walk, keeping net normal form.
+        """Send `amount` along a walk.
 
         Each dart must start where the one before it ends, use an edge no
         other dart of the walk uses, and have residual at least `amount`.
@@ -78,29 +91,22 @@ class FlowState:
             raise ValueError(f"push of negative amount {amount}")
         if not darts:
             raise ValueError("push along an empty walk")
-        cap = self.capacity
-        flow = self.flow
+        res = self.res
         tails = self.graph.dart_tails
         start = at = tails[darts[0]]
         for d in darts:
             if tails[d] != at:
                 raise ValueError(
                     f"dart {d} does not continue the walk at vertex {at}")
-            if cap[d] - flow[d] + flow[d ^ 1] < amount:
+            if res[d] < amount:
                 raise ValueError(
-                    f"push of {amount} exceeds residual "
-                    f"{cap[d] - flow[d] + flow[d ^ 1]} on dart {d}")
+                    f"push of {amount} exceeds residual {res[d]} on dart {d}")
             at = tails[d ^ 1]
         if len(darts) > 1 and len({d >> 1 for d in darts}) < len(darts):
             raise ValueError("walk uses an edge twice")
         for d in darts:
-            rev = d ^ 1
-            back = flow[rev]  # cancelled first
-            if back < amount:
-                flow[rev] = 0
-                flow[d] += amount - back
-            else:
-                flow[rev] = back - amount
+            res[d] -= amount
+            res[d ^ 1] += amount
         self.excess[start] -= amount
         self.excess[at] += amount
 
@@ -192,7 +198,8 @@ def cancel_flow_cycles(state: FlowState) -> list[int]:
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
-    flow = state.flow
+    cap = state.capacity
+    res = state.res  # a dart carries cap - res when that is positive
     place = [_UNSEEN] * g.vertex_count
     finished: list[int] = []
     for root in range(g.vertex_count):
@@ -207,7 +214,7 @@ def cancel_flow_cycles(state: FlowState) -> list[int]:
             while i < len(rv):
                 d = rv[i]
                 i += 1
-                if flow[d] > 0 and place[tails[d ^ 1]] != _FINISHED:
+                if cap[d] > res[d] and place[tails[d ^ 1]] != _FINISHED:
                     break
             else:
                 place[v] = _FINISHED
@@ -222,10 +229,10 @@ def cancel_flow_cycles(state: FlowState) -> list[int]:
                 stack.append([w, 0, d])
                 continue
             cycle = [frame[2] for frame in stack[k + 1:]] + [d]  # w -> v -> w
-            amount = min(flow[c] for c in cycle)
+            amount = min(cap[c] - res[c] for c in cycle)
             state.push_path([c ^ 1 for c in reversed(cycle)], amount)
             state.cancelled_cycles += 1
-            cut = k + next(j for j, c in enumerate(cycle) if not flow[c])
+            cut = k + next(j for j, c in enumerate(cycle) if cap[c] == res[c])
             for frame in stack[cut + 1:]:
                 place[frame[0]] = _UNSEEN
             del stack[cut + 1:]
@@ -246,14 +253,15 @@ def drain_excess(state: FlowState, sources, sinks, order) -> FlowState:
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
-    flow = state.flow
+    cap = state.capacity
+    res = state.res  # a dart carries cap - res when that is positive
     excess = state.excess
     skip = set(sources) | set(sinks)
     walked = [False] * g.vertex_count
     for v in order:
         rv = rot[v]
         for d in rv:
-            if flow[d] > 0 and not walked[tails[d ^ 1]]:
+            if cap[d] > res[d] and not walked[tails[d ^ 1]]:
                 raise CyclicSupport(
                     f"vertex {v} comes before {tails[d ^ 1]}, which its flow reaches")
         walked[v] = True
@@ -261,8 +269,8 @@ def drain_excess(state: FlowState, sources, sinks, order) -> FlowState:
             continue
         for out in rv:
             din = out ^ 1  # dart arriving at v
-            if flow[din] > 0:
-                state.push(out, min(flow[din], excess[v]))
+            if cap[din] > res[din]:
+                state.push(out, min(cap[din] - res[din], excess[v]))
                 if excess[v] <= 0:
                     break
     return state

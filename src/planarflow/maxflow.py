@@ -84,14 +84,13 @@ class SinkLabels:
         Reached vertices get their exact distance and every other vertex
         ``dist[s] + 1``, a lower bound. A search that runs out first
         labels every vertex exactly, ``n`` where `t` is unreachable.
-        A dart's residual is computed only when its tail is unlabelled;
+        A dart's residual is read only when its tail is unlabelled;
         the order of discovery is that of testing the residual first.
         """
         g = state.graph
         rot = g.rotations
         tails = g.dart_tails
-        cap = state.capacity
-        flow = state.flow
+        res = state.res
         n = g.vertex_count
         dist = [n] * n
         dist[self.t] = 0
@@ -110,7 +109,7 @@ class SinkLabels:
                 r = d ^ 1  # the dart into w
                 u = tails[r]
                 # most far ends are already labelled: test that first
-                if dist[u] == n and cap[r] - flow[r] + flow[d] > 0:
+                if dist[u] == n and res[r] > 0:
                     dist[u] = nxt
                     reached.append(u)
         self.dist = dist
@@ -133,8 +132,7 @@ def blocking_flow(state: FlowState, s: int, t: int,
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
-    cap = state.capacity
-    flow = state.flow
+    res = state.res
     n = g.vertex_count
     if labels.dist is None:
         # zeros are valid lower bounds: the search from s is blocked at
@@ -148,7 +146,7 @@ def blocking_flow(state: FlowState, s: int, t: int,
     v = s
     while dist[s] < n:
         if v == t:
-            residuals = [cap[d] - flow[d] + flow[d ^ 1] for d in path]
+            residuals = [res[d] for d in path]
             bottleneck = min(residuals)
             if limit is not None:
                 bottleneck = min(bottleneck, limit - total)
@@ -166,7 +164,7 @@ def blocking_flow(state: FlowState, s: int, t: int,
         i = ptr[v]
         while i < len(rv):
             d = rv[i]
-            if dist[tails[d ^ 1]] == want and cap[d] - flow[d] + flow[d ^ 1] > 0:
+            if dist[tails[d ^ 1]] == want and res[d] > 0:
                 break
             i += 1
         ptr[v] = i
@@ -174,7 +172,7 @@ def blocking_flow(state: FlowState, s: int, t: int,
             path.append(d)
             v = tails[d ^ 1]
         elif v == s:
-            if not any(cap[d] - flow[d] + flow[d ^ 1] > 0 for d in rv):
+            if not any(res[d] > 0 for d in rv):
                 dist[s] = n  # no residual dart leaves s: exact, and valid
             else:
                 labels.relabel(state, s)
@@ -223,8 +221,7 @@ def reaches_a_sink(state: FlowState, vertices, sinks, count: int = 1) -> bool:
     g = state.graph
     rot = g.rotations
     tails = g.dart_tails
-    cap = state.capacity
-    flow = state.flow
+    res = state.res
     seen = bytearray(g.vertex_count)
     for t in sinks:
         seen[t] = 1
@@ -233,7 +230,7 @@ def reaches_a_sink(state: FlowState, vertices, sinks, count: int = 1) -> bool:
         for d in rot[w]:
             r = d ^ 1  # the dart into w
             u = tails[r]
-            if not seen[u] and cap[r] - flow[r] + flow[d] > 0:
+            if not seen[u] and res[r] > 0:
                 if u in wanted:
                     count -= 1
                     if not count:

@@ -111,6 +111,24 @@ def test_verify_rejects_tampered_flow(tmp_path, capsys):
     assert out == "FAIL flow-valid dart 99 out of range\n"
 
 
+def test_verify_validates_the_dump_not_its_net_flow(tmp_path, capsys):
+    """A dump with capacity + 5 one way and 5 back on one edge nets to a
+    valid flow, but verify checks the dump's own values: the capacity
+    violation fails it, while its value still matches."""
+    plem = tmp_path / "edge.plem"
+    plem.write_text(
+        "plem 2 1\nrot 0 0\nrot 1 1\nedge 0 0 1 9 7\nsrc 0\nsnk 1\n")
+    pflo = tmp_path / "flow.pflo"
+    pflo.write_text("flow 0 14\nflow 1 5\nvalue 9\n")
+    code, out, _ = run(["verify", str(plem), "--flow", str(pflo)], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL flow-valid 1 violations: flow 14 exceeds capacity 9 on dart 0",
+        "PASS flow-value dump=9 computed=9",
+        "PASS oracle-match value=9 oracle=9",
+    ]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.plem"
     bad.write_text("not a plem file\n")
@@ -342,13 +360,14 @@ def test_divisions_dump_empty_without_a_division(extra, tmp_path, capsys):
 def test_divisions_dump_empty_when_saturation_finishes(tmp_path, capsys):
     """At the default budget the pinned dumps' instance is finished by
     saturating its sources, so its dump is empty and its flow is the
-    sequential solver's; with b=0 the same solve divides."""
+    sequential solver's; with b=0 the same solve divides, also when the
+    params hold empty items, which are skipped."""
     plem = tmp_path / "inst.plem"
     run(["gen", "--kind", "grid", "--n", "256", "--seed", "4",
          "--cap-max", "9", "--sources", "3", "-o", str(plem)], capsys)
     dump = tmp_path / "divisions.txt"
     flows = {}
-    for params in ("r=32", "r=32,b=0"):
+    for params in ("r=32", "r=32,b=0", ",r=32,,b=0,"):
         code, flows[params], _ = run(["solve", str(plem), "--params", params,
                                       "--divisions", str(dump)], capsys)
         assert code == 0
@@ -356,6 +375,7 @@ def test_divisions_dump_empty_when_saturation_finishes(tmp_path, capsys):
     code, seq, _ = run(["solve", str(plem), "--algorithm", "sequential"],
                        capsys)
     assert code == 0 and flows["r=32"] == seq
+    assert flows[",r=32,,b=0,"] == flows["r=32,b=0"]
 
 
 def test_divisions_dump_written_on_a_solver_error(tmp_path, capsys):

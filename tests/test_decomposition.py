@@ -443,6 +443,37 @@ def test_boundary_ratio_bounded_across_scales():
           f"(coefficient {dec.BOUNDARY_COEFF})")
 
 
+def test_divide_splits_by_boundary_weight(monkeypatch):
+    """A 30x30 grid with 800 sinks leaves pieces within the size bound but
+    over the boundary bound, so `divide` weights a separator by boundary:
+    0/1 weights summing above the bound. (Unit weights have no 0, and a
+    hole split with 0/1 weights has one distinct anchor per hole, so its
+    sum is at most the piece's boundary, within the bound.)"""
+    separators = []
+    separate = dec._separate
+
+    def recording_separate(g, weights):
+        separators.append(list(weights))
+        return separate(g, weights)
+
+    monkeypatch.setattr(dec, "_separate", recording_separate)
+    g = grid_graph(30, 30)
+    sinks = sorted(random.Random(0).sample(range(1, g.vertex_count), 800))
+    inst = Instance(g, [1] * g.dart_count, [0], sinks)
+    params = DivisionParams(r=12, budget=0)
+    division = divide(inst, params)
+    n0 = g.vertex_count
+    max_size = dec.C_P * n0
+    max_boundary = dec.BOUNDARY_COEFF * math.sqrt(dec.C_P * n0)
+    by_boundary = [w for w in separators
+                   if set(w) == {0, 1} and sum(w) > max_boundary]
+    assert by_boundary
+    for piece in division.pieces:
+        assert piece.size <= max_size
+        assert len(piece.boundary) <= max_boundary
+        assert len(piece.holes) <= params.hole_bound
+
+
 # -- division identity and work ------------------------------------------
 
 

@@ -349,3 +349,18 @@ def test_push_path_of_zero_changes_nothing():
     state.push_path([0, 2], 0)
     state.push_path([3, 1], 0)
     assert state.flow == flow and state.excess == excess
+
+
+def test_state_from_a_flow_not_in_net_normal_form():
+    """An edge carrying flow both ways starts the state its net flow would:
+    the same excess, value and residuals, and the flow reads back in net
+    normal form."""
+    g = grid_graph(1, 3)  # the path 0 - 1 - 2, darts 0, 2 eastward
+    caps = [5, 5, 5, 5]
+    both_ways = FlowState(g, caps, [4, 1, 2, 0])
+    net = FlowState(g, caps, [3, 0, 2, 0])
+    assert both_ways.excess == net.excess == [-3, 1, 2]
+    assert flow_value(both_ways, [2]) == flow_value(net, [2]) == 2
+    assert ([both_ways.residual(d) for d in range(4)]
+            == [net.residual(d) for d in range(4)] == [2, 8, 3, 7])
+    assert both_ways.flow == net.flow == [3, 0, 2, 0]

@@ -36,9 +36,9 @@ def test_validate_zero_flow_is_valid(small_corpus):
 
 def test_validate_reports_single_capacity_violation():
     inst = parse_instance(SINGLE_EDGE)
-    state = FlowState.from_instance(inst)
-    state.flow[0] = inst.capacities[0] + 1  # excess lands on terminals only
-    report = validate_flow(inst, state)
+    flow = FlowState.from_instance(inst).flow
+    flow[0] = inst.capacities[0] + 1  # excess lands on terminals only
+    report = validate_flow(inst, flow)
     assert len(report) == 1
     assert "exceeds capacity" in report[0]
 
@@ -47,9 +47,9 @@ def test_validate_reports_conservation_breach():
     text = "plem 3 2\nrot 0 0\nrot 1 1 2\nrot 2 3\n" \
            "edge 0 0 1 5 0\nedge 1 1 2 5 0\nsrc 0\nsnk 2\n"
     inst = parse_instance(text)
-    state = FlowState.from_instance(inst)
-    state.flow[0] = 3  # enters vertex 1, never leaves
-    report = validate_flow(inst, state)
+    flow = FlowState.from_instance(inst).flow
+    flow[0] = 3  # enters vertex 1, never leaves
+    report = validate_flow(inst, flow)
     assert any("conservation" in line and "vertex 1" in line for line in report)
 
 
