@@ -1,56 +1,57 @@
-"""Single-source, single-sink max flow over FlowState residuals.
+"""Max flow from one source into a sink set over FlowState residuals.
 
 An engine augments the state it is given, so the returned value is the
 incremental flow found on top of whatever the state already carries. An
 optional `limit` caps that increment: each augmenting path's bottleneck
 is clamped to what is left of the limit, and the engine returns as soon
 as the limit is reached. This is how the solver pushes a vertex's excess
-on towards a sink. An engine is a callable with the signature of
+on towards the sinks. An engine is a callable with the signature of
 `blocking_flow` (Dinic), the engine used when none is given; another
-engine must produce identical values (flows may differ).
+engine must produce identical values (flows may differ). Its `t` is one
+sink or a collection of them, and the flow goes into the whole set, as
+into one super sink joined to each of them.
 
-The levels of this Dinic are measured *to* the sink. `SinkLabels(t)`
-holds `dist`, one label per vertex from a reverse BFS from `t`, and one
-current-arc pointer per vertex; `dist` is None until the first search
-and after a caller discards the labels. The engine relabels for the
-source `s` it pushes from, and the search stops once every vertex within
-``dist[s]`` of `t` is reached: those vertices get their exact distance
-to `t`, every other vertex ``dist[s] + 1``, a lower bound. A search that
-runs out first labels every vertex exactly, ``n`` (the vertex count)
-where `t` is unreachable, so ``dist[v] == n`` still means that `v`
-cannot reach `t`. Either way the labels are valid:
-``dist[u] <= dist[v] + 1`` on every residual dart u -> v. The engine
-searches from `s` only along admissible arcs, residual darts on which
-`dist` falls by 1, and relabels when the search from `s` is blocked,
-until ``dist[s] == n``; a blocked `s` that no residual dart leaves is
-not relabelled but set to ``dist[s] = n``, which is exact and keeps the
-labels valid. Labels that do not exist yet start at 0, a valid lower
-bound for every vertex, so the first search from `s` is blocked at once
-and takes that same branch. Augmenting along admissible arcs adds only
-arcs on which `dist` rises, so the labels stay valid lower bounds, a
-dead end stays dead and no skipped arc becomes admissible. That holds
-for the next source pushing into `t` too, so one `SinkLabels` serves
-every push into `t` of a push loop; a source labelled below its true
-distance finds no admissible path, so its search is blocked and
-relabels. A vertex labelled n is *dead* for `t`: it cannot reach `t`,
-and `max_st_flow` returns 0 for it without calling the engine. A push
-into another sink may add arcs the labels do not know of; the caller
-then sets `dist` to None, and the engine starts them again at 0.
+The levels of this Dinic are measured *to* the sink set.
+`SinkLabels(t)` holds `dist`, one label per vertex from a reverse BFS
+seeded from every sink, and one current-arc pointer per vertex; `dist`
+is None until the first push. The engine relabels for the source `s` it
+pushes from, and the search stops once every vertex within ``dist[s]``
+of a sink is reached: those vertices get their exact distance to the
+nearest sink, every other vertex ``dist[s] + 1``, a lower bound. A
+search that runs out first labels every vertex exactly, ``n`` (the
+vertex count) where no sink is reachable, so ``dist[v] == n`` still
+means that `v` cannot reach a sink. Either way the labels are valid:
+``dist[u] <= dist[v] + 1`` on every residual dart u -> v, and
+``dist[v] == 0`` exactly on the sinks, which is how the engine knows it
+has reached one. Labels that do not exist yet start at 0 on the sinks
+and 1 elsewhere, valid lower bounds. The engine searches from `s` only
+along admissible arcs, residual darts on which `dist` falls by 1, and
+relabels when the search from `s` is blocked, until ``dist[s] == n``; a
+blocked `s` that no residual dart leaves is not relabelled but set to
+``dist[s] = n``, which is exact and keeps the labels valid. Augmenting
+along admissible arcs adds only arcs on which `dist` rises, so the
+labels stay valid lower bounds, a dead end stays dead and no skipped arc
+becomes admissible. That holds for the next source pushing into the same
+sinks too, so one `SinkLabels` serves every push of a push loop; a
+source labelled below its true distance finds no admissible path, so its
+search is blocked and relabels. A vertex labelled n is *dead*: it cannot
+reach a sink, and `max_st_flow` returns 0 for it without calling the
+engine.
 
-The flows are those of the textbook forward-level Dinic, arc for arc.
-With valid lower-bound labels every admissible `s`-`t` path has exactly
-`dist[s]` arcs, so one is found only when `dist[s]` is the true
-distance, and then validity forces the label of every vertex of a
-shortest `s`-`t` path to its true distance: the admissible arcs that
-lead to `t` are exactly the arcs of shortest `s`-`t` paths, those
-through which a forward level graph from `s` reaches `t`. The search
-from `s` visits only vertices labelled below `dist[s]`, which a stopped
-relabel labels exactly, as a full one would; the vertices that a stopped
-relabel labels by the bound are never visited. The search scans each
-rotation in the same order and retreats from the same dead ends, so it
-finds the same paths in the same order, and augments each with one
-`FlowState.push_path`. Another engine may ignore `labels`; then nothing
-is shared and nothing is skipped.
+The flows are those of the textbook forward-level Dinic into a super
+sink, arc for arc. With valid lower-bound labels every admissible path
+from `s` to a sink has exactly `dist[s]` arcs, so one is found only when
+`dist[s]` is the true distance, and then validity forces the label of
+every vertex of a shortest such path to its true distance: the
+admissible arcs that lead to a sink are exactly the arcs of shortest
+paths from `s` to the sink set, those through which a forward level
+graph from `s` reaches it. The search from `s` visits only vertices
+labelled below `dist[s]`, which a stopped relabel labels exactly, as a
+full one would; the vertices that a stopped relabel labels by the bound
+are never visited. The search scans each rotation in the same order and
+retreats from the same dead ends, so it finds the same paths in the same
+order, and augments each with one `FlowState.push_path`. Another engine
+may ignore `labels`; then nothing is shared and nothing is skipped.
 
 `max_st_flow` returns the value only. A caller that wants the min cut
 takes the residual-reachability side after the flow is maximum:
@@ -60,30 +61,35 @@ takes the residual-reachability side after the flow is maximum:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import Callable, Iterable
 
 from .flowstate import FlowState
 
 
+def sink_set(t: int | Iterable[int]) -> tuple[int, ...]:
+    """One sink, or a collection of sinks, as a tuple of sinks."""
+    return (t,) if isinstance(t, int) else tuple(t)
+
+
 class SinkLabels:
-    """Distance labels towards sink `t`, shared by the pushes into it:
+    """Distance labels towards a sink set, shared by the pushes into it:
     exact within the last search's reach, lower bounds beyond it."""
 
-    __slots__ = ("t", "dist", "ptr")
+    __slots__ = ("sinks", "dist", "ptr")
 
-    def __init__(self, t: int):
-        self.t = t
+    def __init__(self, t: int | Iterable[int]):
+        self.sinks = sink_set(t)
         self.dist: list[int] | None = None
         self.ptr: list[int] | None = None
 
     def relabel(self, state: FlowState, s: int) -> None:
-        """Distances to `t` by one reverse BFS that stops once every
-        vertex within ``dist[s]`` of `t` is reached; resets the
-        current-arc pointers.
+        """Distances to the nearest sink by one reverse BFS from every
+        sink that stops once every vertex within ``dist[s]`` of a sink is
+        reached; resets the current-arc pointers.
 
         Reached vertices get their exact distance and every other vertex
         ``dist[s] + 1``, a lower bound. A search that runs out first
-        labels every vertex exactly, ``n`` where `t` is unreachable.
+        labels every vertex exactly, ``n`` where no sink is reachable.
         A dart's residual is read only when its tail is unlabelled;
         the order of discovery is that of testing the residual first.
         """
@@ -93,13 +99,14 @@ class SinkLabels:
         res = state.res
         n = g.vertex_count
         dist = [n] * n
-        dist[self.t] = 0
-        reached = [self.t]
+        for t in self.sinks:
+            dist[t] = 0
+        reached = list(self.sinks)
         for w in reached:  # the list grows behind the loop: a FIFO queue
             nxt = dist[w] + 1
             if nxt > dist[s]:
-                # every vertex within dist[s] of t is reached: the rest
-                # lie at nxt or beyond
+                # every vertex within dist[s] of a sink is reached: the
+                # rest lie at nxt or beyond
                 exact = dist
                 dist = [nxt] * n
                 for v in reached:
@@ -116,15 +123,17 @@ class SinkLabels:
         self.ptr = [0] * n
 
 
-Engine = Callable[[FlowState, int, int, int | None, SinkLabels | None], int]
+Engine = Callable[[FlowState, int, int | Iterable[int], int | None,
+                   SinkLabels | None], int]
 
 
-def blocking_flow(state: FlowState, s: int, t: int,
+def blocking_flow(state: FlowState, s: int, t: int | Iterable[int],
                   limit: int | None = None,
                   labels: SinkLabels | None = None) -> int:
-    """Dinic with levels measured to `t`: augment along admissible arcs,
-    relabel when the search from `s` is blocked, stop once `s` cannot
-    reach `t` or `limit` is met. Without `labels` it builds its own."""
+    """Dinic with levels measured to the sinks `t`: augment along
+    admissible arcs into whichever sink they reach, relabel when the
+    search from `s` is blocked, stop once `s` cannot reach a sink or
+    `limit` is met. Without `labels` it builds its own."""
     if limit == 0:
         return 0
     if labels is None:
@@ -134,10 +143,10 @@ def blocking_flow(state: FlowState, s: int, t: int,
     tails = g.dart_tails
     res = state.res
     n = g.vertex_count
-    if labels.dist is None:
-        # zeros are valid lower bounds: the search from s is blocked at
-        # once, and the blocked-at-s branch below cuts s off or relabels
-        labels.dist = [0] * n
+    if labels.dist is None:  # fresh: 0 on the sinks and 1 elsewhere, valid
+        labels.dist = [1] * n
+        for v in labels.sinks:
+            labels.dist[v] = 0
         labels.ptr = [0] * n
     dist = labels.dist
     ptr = labels.ptr
@@ -145,7 +154,7 @@ def blocking_flow(state: FlowState, s: int, t: int,
     path: list[int] = []
     v = s
     while dist[s] < n:
-        if v == t:
+        if dist[v] == 0:  # a sink
             residuals = [res[d] for d in path]
             bottleneck = min(residuals)
             if limit is not None:
@@ -240,25 +249,28 @@ def reaches_a_sink(state: FlowState, vertices, sinks, count: int = 1) -> bool:
     return False
 
 
-def max_st_flow(state: FlowState, s: int, t: int,
+def max_st_flow(state: FlowState, s: int, t: int | Iterable[int],
                 engine: Engine | None = None,
                 limit: int | None = None,
                 labels: SinkLabels | None = None) -> int:
-    """Augment `state` by a maximum s-t flow; returns the value added.
+    """Augment `state` by a maximum flow from `s` into `t`, one sink or a
+    collection of sinks; returns the value added.
 
     With `limit`, at most that many units are added, so the return value
     is ``min(limit, residual max-flow value s -> t)``. `labels` are the
-    `SinkLabels` of `t` shared with earlier pushes into `t`; a source
-    labelled n (cut off from `t`) returns 0 without calling the engine,
-    which is `blocking_flow` when `engine` is None.
+    `SinkLabels` of the same sinks shared with earlier pushes into them; a
+    source labelled n (cut off from every sink) returns 0 without calling
+    the engine, which is `blocking_flow` when `engine` is None.
     """
-    if s == t:
+    sinks = sink_set(t)
+    if s in sinks:
         raise ValueError("source and sink must differ")
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
     if labels is not None:
-        if labels.t != t:
-            raise ValueError(f"labels of sink {labels.t} used for sink {t}")
+        if labels.sinks != sinks:
+            raise ValueError(
+                f"labels of sinks {labels.sinks} used for sinks {sinks}")
         if labels.dist is not None and labels.dist[s] == len(labels.dist):
             return 0
     return (engine or blocking_flow)(state, s, t, limit, labels)

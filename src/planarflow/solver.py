@@ -2,31 +2,30 @@
 
 Two independent algorithms are provided:
 
-* ``sequential_saturation`` exhausts each source against every sink on the
-  residual graph, in the given order; grouping all sinks per source makes
-  the final flow maximum regardless of order.
+* ``sequential_saturation`` exhausts each source into the sink set on the
+  residual graph, in the given order; the final flow is maximum regardless
+  of order.
 * ``solve_recursive`` solves every level, the top one and each phase-1
   sub-instance, by one procedure (``_solve``) on one state and one
-  ``SinkLabels`` per sink. It first saturates the level's sources in
+  ``SinkLabels`` of its sinks. It first saturates the level's sources in
   order until a source's turn comes after ``params.budget`` sources
-  whose pushes added flow, each counted once however many sinks it fed;
-  with few sources the sinks' darts are the min cut, and a few sources
-  fill them. A budget of 0 skips this step. A level is then
-  divided into hole-bounded pieces (``divide``) only if it has more than
-  ``r`` vertices and one reverse residual search from the sinks
-  (``reaches_a_sink``) finds two of the sources the budget left still
-  reaching a sink, since a piece's boundary vertices stand in for its
-  sources and with fewer there are none to replace. Any other level, as
-  is one whose division fails, is finished by saturating those sources
-  on the same labels, and no hook fires for it. Every source stays in the level
-  instance: a saturated one reaches no sink, so a piece that holds only
-  such sources is skipped (below), but one may reach a sink again after
-  another source's piece moves flow, and only as a source is it pushed
-  again. Per piece it runs a three-phase push: interior sources to
-  the piece boundary (by solving, recursively, the sub-instance
-  ``attach_super_sinks`` makes of the piece's residual graph, with one
-  super sink per hole), boundary vertices to the sinks (sources
-  unbounded, others limited by their accumulated excess), and a
+  whose pushes added flow; with few sources the sinks' darts are the min
+  cut, and a few sources fill them. A budget of 0 skips this step. A
+  level is then divided into hole-bounded pieces (``divide``) only if it
+  has more than ``r`` vertices and one reverse residual search from the
+  sinks (``reaches_a_sink``) finds two of the sources the budget left
+  still reaching a sink, since a piece's boundary vertices stand in for
+  its sources and with fewer there are none to replace. Any other level,
+  as is one whose division fails, is finished by saturating those
+  sources on the same labels, and no hook fires for it. Every source
+  stays in the level instance: a saturated one reaches no sink, so a
+  piece that holds only such sources is skipped (below), but one may
+  reach a sink again after another source's piece moves flow, and only
+  as a source is it pushed again. Per piece it runs a three-phase push:
+  interior sources to the piece boundary (by solving, recursively, the
+  sub-instance ``attach_super_sinks`` makes of the piece's residual
+  graph, with one super sink per hole), boundary vertices to the sinks
+  (sources unbounded, others limited by their accumulated excess), and a
   preflow-to-flow conversion. The phases, hooks included, run only for a
   piece with a source that still reaches a sink at its turn; one reverse
   residual search from the level's sinks (``reaches_a_sink``) tells.
@@ -42,19 +41,16 @@ in a given order; it exists to demonstrate that ungrouped pair orders are
 not optimal in general.
 
 Sequential saturation, a level's saturation (the budget's and the rest's,
-on one set of labels) and phase 2 are one push loop (``_saturate``). The
-budget counts sources whose pushes added flow, not pushes or work done,
-so the flows do not depend on the engine or on the labels it shares. The
-loop keeps one ``SinkLabels`` per sink (see ``maxflow``): distances to
-that sink from one reverse BFS that stops at the level of the vertex
-that pushes, lower bounds beyond it, shared by every push into that sink
-and redone only when a push is blocked. A push from a vertex labelled n,
-which cannot reach the sink, returns 0 without a search; one from a
-vertex beyond the stopped search finds no path until its blocked search
-relabels. A push that adds flow into one sink discards the labels of the
-sinks after it, which are recomputed before they are used again. The
-flows found are those of the same loop with a fresh Dinic search per
-push.
+on one set of labels) and phase 2 are one push loop (``_saturate``): one
+push per vertex into the whole sink set. The budget counts sources whose
+pushes added flow, not work done, so the flows do not depend on the
+engine or on the labels it shares. The loop keeps one ``SinkLabels``
+(see ``maxflow``): distances to the nearest sink from one reverse BFS
+that stops at the level of the vertex that pushes, lower bounds beyond
+it, shared by every push and redone only when a push is blocked. A push
+from a vertex labelled n, which cannot reach a sink, returns 0 without a
+search. The flows found are those of the same loop with a fresh Dinic
+search per push.
 
 Both solvers take an `engine`, a callable with the signature of
 ``maxflow.blocking_flow`` (None means that engine), and a `trace`, a
@@ -103,44 +99,24 @@ NO_TRACE = SolveTrace()
 
 def _saturate(state: FlowState, vertices, sources, sinks, engine,
               budget: int | None = None, labels=None) -> int:
-    """Push each vertex in `vertices`, in order, to each sink, in order;
-    return how many vertices it finished.
+    """Push each vertex in `vertices`, in order, into the sink set; return
+    how many vertices it finished.
 
     A vertex in `sources` pushes unbounded; any other pushes at most its
-    excess and stops once that is spent. With a `budget`, the loop stops
-    before the next vertex once it has finished that many vertices
-    (a level's sources) whose pushes added flow: a vertex counts
-    once, however many sinks it fed, so with one sink the count is that
-    of the pushes that added flow.
-    `labels[j]` (fresh when `labels` is None; a later call may go on with
-    the same list) serves every push into ``sinks[j]``, and after a push
-    that adds flow into ``sinks[j]`` only the labels of ``sinks[j+1:]``
-    are discarded. A vertex pushes into ``sinks[j]`` only once it cannot
-    reach any earlier sink t. The vertices that cannot reach t are
-    closed under residual arcs, and that set holds the whole augmenting
-    path, so the push adds and removes arcs only inside it: it changes
-    no distance to t, no label of t stops being a lower bound, and no
-    arc of a vertex outside the set changes, whose current-arc pointers
-    stay valid.
+    excess. With a `budget`, the loop stops before the next vertex once
+    that many of its pushes added flow. `labels` (fresh when None; a
+    later call may go on with them) serve every push.
     """
     if labels is None:
-        labels = [SinkLabels(t) for t in sinks]
-    fed = 0  # vertices whose pushes added flow
+        labels = SinkLabels(sinks)
+    fed = 0  # pushes that added flow
     for i, p in enumerate(vertices):
         if budget is not None and fed >= budget:
             return i
-        bounded = p not in sources
-        added = False
-        for j, t in enumerate(sinks):
-            if bounded and state.excess[p] <= 0:
-                break
-            value = max_st_flow(state, p, t, engine,
-                                state.excess[p] if bounded else None, labels[j])
-            if value:
-                added = True
-                for later in labels[j + 1:]:
-                    later.dist = None
-        fed += added
+        limit = None if p in sources else state.excess[p]
+        if limit is None or limit > 0:
+            fed += max_st_flow(state, p, labels.sinks, engine, limit,
+                               labels) > 0
     return len(vertices)
 
 
@@ -177,13 +153,12 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
     sources to the piece boundary by solving the sub-instance that
     ``attach_super_sinks`` makes of the piece's residual capacities, its
     interior sources and per-hole super sinks; phase 2 pushes from each
-    boundary vertex (ascending id) to each sink (ascending id), skipping
-    vertices known not to reach that sink; phase 3 restores conservation.
+    boundary vertex (ascending id) into the sink set, skipping vertices
+    known not to reach it; phase 3 restores conservation.
     """
     if params is None:
         params = DivisionParams()
-    ordered_sinks = sorted(instance.sinks)
-    sink_set = set(ordered_sinks)
+    sink_set = set(instance.sinks)
     source_set = set(instance.sources)
     interior = sorted(piece.sources - piece.boundary)
 
@@ -202,7 +177,7 @@ def piece_maxflow(piece: Piece, state: FlowState, instance: Instance,
         trace.phase1_done(piece, sub_instance, sub_state)
 
     boundary = piece.parent_boundary() - sink_set
-    _saturate(state, sorted(boundary), source_set, ordered_sinks, engine)
+    _saturate(state, sorted(boundary), source_set, instance.sinks, engine)
     trace.phase2_done(instance, state)
 
     drain_excess(state, source_set, sink_set, cancel_flow_cycles(state))
@@ -219,7 +194,7 @@ def _solve(instance: Instance, params: DivisionParams, engine,
     saturate those sources on the same labels."""
     state = FlowState.from_instance(instance)
     sources = set(instance.sources)
-    labels = [SinkLabels(t) for t in instance.sinks]
+    labels = SinkLabels(instance.sinks)
     done = _saturate(state, instance.sources, sources, instance.sinks, engine,
                      params.budget, labels)
     rest = instance.sources[done:]
@@ -258,8 +233,7 @@ def solve_recursive(instance: Instance, params: DivisionParams | None = None,
 
     Every level, the top one and each phase-1 sub-instance, first
     saturates its sources in order until ``params.budget`` sources whose
-    pushes added flow are finished, each counted once however many sinks
-    it fed (none with a budget of 0). It is then divided only if it has
+    pushes added flow are finished (none with a budget of 0). It is then divided only if it has
     more than ``params.r`` vertices and two of the sources left still
     reach a sink; otherwise those are saturated too (see ``_solve``).
     """

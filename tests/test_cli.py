@@ -341,7 +341,7 @@ def test_cli_dumps_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
         "7f2d3e956840a4f491c2e72e3521b2f0ac96e202bfeb2d4203fdd8c6b576ee02")
     assert snaps.hexdigest() == (
-        "f1e6b3c283232ab6270786fb7b2016ce72dcf8cd0bc90f584ff74fe9ea741fc8")
+        "c0423f60a4cd4f1010e22d74cf02cdfeb1ba1213eb8210773143d03f9d82943a")
 
 
 @pytest.mark.parametrize("extra", [[], ["--algorithm", "sequential"]],

@@ -42,14 +42,23 @@ def test_negative_limit_rejected():
 
 def test_bad_arguments_rejected_with_a_dead_set():
     """Bad arguments fail also when labels, whose infinite entries are the
-    dead set, are given; so do labels of another sink."""
+    dead set, are given; so do labels of another sink set, and a source
+    that is one of the sinks. One sink and a collection holding only it
+    are the same sink set."""
     state = FlowState.from_instance(parse_instance(SINGLE_EDGE))
     with pytest.raises(ValueError):
         max_st_flow(state, 0, 0, labels=SinkLabels(0))
     with pytest.raises(ValueError):
+        max_st_flow(state, 0, [1, 0])
+    with pytest.raises(ValueError):
         max_st_flow(state, 0, 1, limit=-1, labels=SinkLabels(1))
     with pytest.raises(ValueError):
         max_st_flow(state, 0, 1, labels=SinkLabels(0))
+    with pytest.raises(ValueError):
+        max_st_flow(state, 0, 1, labels=SinkLabels([1, 0]))
+    assert state.flow == [0, 0]
+    assert max_st_flow(state, 0, [1], limit=1, labels=SinkLabels(1)) == 1
+    assert max_st_flow(state, 0, 1, labels=SinkLabels([1])) == 3
 
 
 @pytest.mark.parametrize("limit", [None, 5])
@@ -78,8 +87,8 @@ def test_dead_set_holds_only_vertices_cut_off_from_sink(limit, small_corpus):
 
 def test_dead_source_skips_the_engine(small_corpus):
     """A push from a vertex whose label is infinite adds nothing and never
-    reaches the engine; discarded labels are searched with only after a
-    relabel."""
+    reaches the engine; fresh labels, which know no dead vertex, reach
+    it, and its search finds the vertex cut off."""
     calls = 0
 
     def counting(state, s, t, limit=None, labels=None):
@@ -101,9 +110,9 @@ def test_dead_source_skips_the_engine(small_corpus):
             assert max_st_flow(state, v, t, counting, limit=3, labels=labels) == 0
         assert calls == before
         assert state.flow == flow
-        labels.dist = None
-        assert max_st_flow(state, s, t, counting, labels=labels) == 0
-        assert calls == before + 1 and labels.dist is not None
+        fresh = SinkLabels(t)
+        assert max_st_flow(state, s, t, counting, labels=fresh) == 0
+        assert calls == before + 1 and fresh.dist[s] == n
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -370,7 +370,7 @@ def _reference(state, s, t, limit=None, labels=None):
 def test_dead_sets_leave_flows_identical():
     """Sharing labels across pushes changes no flow: both solvers match
     a reference engine that ignores `labels`, also with several sinks,
-    where each push loop keeps one label object per sink."""
+    where each push loop keeps one label object for the sink set."""
     params = DivisionParams(r=24)
     for inst in corpus(30, seed0=1000, max_n=60, extra_sinks=2):
         assert (sequential_saturation(inst).flow
@@ -477,27 +477,35 @@ def test_every_division_has_two_sources(variant):
     assert any(depth >= 1 for depth in divisions.depths)
 
 
-def _flow_digest(solve, *args):
+def _flow_digest(solve, args, extra_sinks):
     h = hashlib.sha256()
-    for i, base in enumerate(corpus(10, seed0=4400, max_n=150, extra_sinks=3)):
+    for i, base in enumerate(corpus(10, seed0=4400, max_n=150,
+                                    extra_sinks=extra_sinks)):
         inst = _with_zero_and_big_darts(base, 4400 + i)
         h.update(repr(solve(inst, *args).flow).encode())
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("solve, args, digest", [
-    (sequential_saturation, (),
-     "bd13e6162833587a5c71bc1f1afab4edaee5805fa6176f38db64299ef3b56e17"),
-    (solve_recursive, (DivisionParams(r=12, budget=0),),
-     "f11abb8aa8bf1ca7ba7c08f85e871404e6c2fbb5cc6f73f90e5fdef96b610ce7"),
-    (solve_recursive, (DivisionParams(r=24, budget=0),),
-     "5d1ecba380a0f2620efff151724fcf0e7c2d7cf347b8e7bdbdd041b77cda925d"),
-], ids=["sequential", "recursive-r12", "recursive-r24"])
-def test_flows_are_pinned(solve, args, digest):
-    """The flows themselves, hashed dart for dart, on several sinks with
-    one-way and 10^12 arcs: a change meant to keep every flow identical
-    must keep these digests."""
-    assert _flow_digest(solve, *args) == digest
+@pytest.mark.parametrize("solve, args, extra_sinks, digest", [
+    (sequential_saturation, (), 3,
+     "9d8ab99a4b0c0526948ee209b994479a3d2cb752ae6e7f3a4907a40e262ea289"),
+    (solve_recursive, (DivisionParams(r=12, budget=0),), 3,
+     "b3e252e295281cf0025756f2ed38bd5b86ade289dece4b8df1c9248f1548e0e9"),
+    (solve_recursive, (DivisionParams(r=24, budget=0),), 3,
+     "c77f6c3254d5205d789d850ae5fc9f4945f3f0d1eed130cd1a636021442db0af"),
+    (sequential_saturation, (), 0,
+     "05f7878629675b52e9363afc316153656419a1ad0ef98924d86810ea882d39c9"),
+    (solve_recursive, (DivisionParams(),), 0,
+     "05f7878629675b52e9363afc316153656419a1ad0ef98924d86810ea882d39c9"),
+], ids=["sequential", "recursive-r12", "recursive-r24", "one-sink-sequential",
+        "one-sink-recursive"])
+def test_flows_are_pinned(solve, args, extra_sinks, digest):
+    """The flows themselves, hashed dart for dart, with one-way and 10^12
+    arcs: a change meant to keep every flow identical must keep these
+    digests. The one-sink entries, sequential and at the default params,
+    push into one sink at every level, so their flows do not depend on
+    how a push loop treats a set of sinks."""
+    assert _flow_digest(solve, args, extra_sinks) == digest
 
 
 class _TopDivisions(SolveTrace):
@@ -559,13 +567,10 @@ def test_budget_interpolates_between_the_solvers(monkeypatch):
     assert divided[1] > 0 and divided[10 ** 9] == 0
 
 
-def test_budget_counts_sources_not_pushes(monkeypatch):
-    """The push budget counts vertices whose pushes added flow, once each
-    however many sinks they fed, not the pushes themselves. On a path
+def test_budget_counts_sources_not_pushes():
+    """The push budget counts vertices whose push added flow. On a path
     whose first source feeds two sinks, a budget of 2 finishes two
-    sources; counted per push it would stop after the first. On 5-sink
-    triangulations the default budget then divides fewer top levels
-    than the per-push count, which is reported beside the pinned one."""
+    sources, and that source's one push fills both sinks' arcs."""
     # the path 1 - 0 - 2 - 3 - 4 - 5, capacity 5 both ways
     edges = [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)]
     rotations = [[0, 2], [1], [3, 4], [5, 6], [7, 8], [9]]
@@ -579,30 +584,19 @@ def test_budget_counts_sources_not_pushes(monkeypatch):
     solver._saturate(state, [0], {0}, inst.sinks, None)
     assert flow_value(state, [1]) == flow_value(state, [2]) == 5
 
-    saturate = solver._saturate
 
-    def per_push(state, vertices, sources, sinks, engine, budget=None,
-                 labels=None):
-        """The loop with its budget counted per push that added flow; a
-        loop per vertex gives the same flows, as labels change no path."""
-        if budget is None:
-            return saturate(state, vertices, sources, sinks, engine,
-                            labels=labels)
-        pushes = 0
+def test_sequential_pushes_each_source_once_into_the_sink_set():
+    """On 5-sink triangulations sequential saturation calls the engine at
+    most once per source: a source pushes into the sink set, not sink by
+    sink, so its call count does not grow with the number of sinks."""
+    calls = 0
 
-        def counting(*args):
-            nonlocal pushes
-            value = (engine or blocking_flow)(*args)
-            pushes += value > 0
-            return value
+    def counting(state, s, t, limit=None, labels=None):
+        nonlocal calls
+        calls += 1
+        return blocking_flow(state, s, t, limit, labels)
 
-        for i, p in enumerate(vertices):
-            if pushes >= budget:
-                return i
-            saturate(state, [p], sources, sinks, counting, labels=labels)
-        return len(vertices)
-
-    by_sources, by_pushes = _TopDivisions(), _TopDivisions()
+    sources = pairs = 0
     for seed in range(7000, 7012):
         base = generate_instance("triangulation", 200, seed, 100, 16)
         rng = random.Random(f"five-sinks:{seed}")
@@ -610,22 +604,23 @@ def test_budget_counts_sources_not_pushes(monkeypatch):
                 if v not in base.sources and v not in base.sinks]
         inst = Instance(base.graph, base.capacities, base.sources,
                         base.sinks + rng.sample(free, 4))
-        state = solve_recursive(inst, trace=by_sources)
+        assert len(inst.sinks) == 5
+        before = calls
+        state = sequential_saturation(inst, engine=counting)
         assert flow_value(state, inst.sinks) == oracle_value(inst)
         assert validate_flow(inst, state) == []
-        with monkeypatch.context() as patched:
-            patched.setattr(solver, "_saturate", per_push)
-            solve_recursive(inst, trace=by_pushes)
-    print(f"[report] top levels divided at b={DivisionParams().budget} on "
-          f"12 5-sink triangulations: {by_sources.count} counting sources, "
-          f"{by_pushes.count} counting pushes")
-    assert by_sources.count == 1 < by_pushes.count
+        assert 0 < calls - before <= len(inst.sources)
+        sources += len(inst.sources)
+        pairs += len(inst.sources) * len(inst.sinks)
+    print(f"[report] engine calls on 12 5-sink triangulations: {calls} for "
+          f"{sources} sources ({pairs} source-sink pairs)")
 
 
 def test_stale_labels_are_recomputed():
-    """A push into one sink can let a vertex reach another sink that its
-    label called unreachable. Trusting such a stale label loses flow on
-    this instance (391 of 414)."""
+    """A push loop that kept one label set per sink, and trusted a label
+    towards one sink after a push into another, lost flow on this
+    instance (391 of 414). Labels of the whole sink set have no such
+    case, and the value holds."""
     rng = random.Random(15150)
     kind = rng.choice(["grid", "triangulation"])
     n = rng.randint(8, 40)
@@ -683,9 +678,10 @@ def test_sequential_shares_reverse_searches_across_pushes(monkeypatch):
 def test_blocked_search_does_not_relabel_a_cut_off_vertex(monkeypatch):
     """On thin sources each source's darts out fill up: a search blocked
     at such a source labels it cut off without a reverse search, in both
-    solvers. Labels that do not exist yet start at 0, so a source's first
-    search is blocked at once and takes the same branch: no relabel at
-    all runs for a vertex that no residual dart leaves."""
+    solvers. Labels that do not exist yet start at 0 on the sinks and 1
+    elsewhere, so a source's first search is blocked at once unless a
+    residual dart leads it into a sink, and then takes the same branch: no
+    relabel at all runs for a vertex that no residual dart leaves."""
     relabel = SinkLabels.relabel
     relabels = 0
 
@@ -706,14 +702,15 @@ def test_blocked_search_does_not_relabel_a_cut_off_vertex(monkeypatch):
     assert relabels
 
 
-def _distances_to(state, t):
-    """Residual distance of every vertex to `t` by a plain BFS; the vertex
-    count where `t` is unreachable."""
+def _distances_to(state, sinks):
+    """Residual distance of every vertex to the nearest of `sinks` by a
+    plain BFS; the vertex count where no sink is reachable."""
     g = state.graph
     n = g.vertex_count
     dist = [n] * n
-    dist[t] = 0
-    queue = deque([t])
+    for t in sinks:
+        dist[t] = 0
+    queue = deque(sinks)
     while queue:
         w = queue.popleft()
         for d in g.rotations[w]:
@@ -727,9 +724,10 @@ def _distances_to(state, t):
 def test_stopped_labels_agree_with_a_full_search(monkeypatch):
     """After every relabel in both solvers' push loops, limited pushes,
     several sinks and one-way and 10^12 arcs included: each vertex within
-    ``dist[s]`` of the sink is labelled exactly, every other label is at
-    most the true distance, a label n marks a vertex that cannot reach the
-    sink, and a search that finds `s` cut off labels every such vertex n."""
+    ``dist[s]`` of the sink set is labelled exactly with its distance to
+    the nearest sink, every other label is at most that distance, a label
+    n marks a vertex that cannot reach any sink, and a search that finds
+    `s` cut off labels every such vertex n."""
     relabel = SinkLabels.relabel
     seen = {"stopped": 0, "ran out": 0, "limited": 0}
     limited = False
@@ -737,7 +735,7 @@ def test_stopped_labels_agree_with_a_full_search(monkeypatch):
     def checked_relabel(self, state, s):
         relabel(self, state, s)
         n = state.graph.vertex_count
-        true = _distances_to(state, self.t)
+        true = _distances_to(state, self.sinks)
         reach = self.dist[s]
         for v in range(n):
             if true[v] <= reach:
@@ -765,19 +763,39 @@ def test_stopped_labels_agree_with_a_full_search(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-def test_push_next_to_the_sink_stops_the_reverse_search():
-    """On a 2 x 40 grid, a push from a neighbour of the sink labels exactly
-    only the vertices within one arc of it and every other vertex 2, not
-    its true distance."""
+def test_push_next_to_the_sink_stops_the_reverse_search(monkeypatch):
+    """On a 2 x 40 grid with the sink at a corner, fresh labels let a
+    neighbour of the sink push with no relabel at all. A push from a
+    vertex two arcs away is blocked on them once; its reverse search then
+    stops at that vertex's level: it labels exactly only the vertices
+    within two arcs of the sink and every other vertex 3, not its true
+    distance."""
+    relabel = SinkLabels.relabel
+    relabels = 0
+
+    def counting_relabel(self, state, s):
+        nonlocal relabels
+        relabels += 1
+        relabel(self, state, s)
+
+    monkeypatch.setattr(SinkLabels, "relabel", counting_relabel)
     g = grid_graph(2, 40)
+    t = 0
     state = FlowState(g, [5] * g.dart_count)
-    t, s = 0, 1
     labels = SinkLabels(t)
-    assert max_st_flow(state, s, t, limit=3, labels=labels) == 3
-    true = _distances_to(state, t)
+    assert max_st_flow(state, 1, t, limit=3, labels=labels) == 3
+    assert relabels == 0
+    assert labels.dist == [0] + [1] * (g.vertex_count - 1)
+
+    state = FlowState(g, [5] * g.dart_count)
+    labels = SinkLabels(t)
+    assert max_st_flow(state, 2, t, limit=3, labels=labels) == 3
+    assert relabels == 1
+    true = _distances_to(state, [t])
     assert max(true) == 40
-    assert [v for v in range(g.vertex_count) if labels.dist[v] < 2] == [0, 1, 40]
-    assert all(labels.dist[v] == min(true[v], 2) for v in range(g.vertex_count))
+    assert ([v for v in range(g.vertex_count) if labels.dist[v] < 3]
+            == [0, 1, 2, 40, 41])
+    assert all(labels.dist[v] == min(true[v], 3) for v in range(g.vertex_count))
 
 
 def _solve_both(inst, engine, trace=solver.NO_TRACE):
@@ -787,17 +805,16 @@ def _solve_both(inst, engine, trace=solver.NO_TRACE):
 
 
 def test_no_vertex_is_searched_again_towards_a_sink():
-    """Within one push loop the engine is called at most once per vertex
-    and sink, never for a vertex whose label towards that sink is
-    infinite, and each call ends with the limit met or the vertex's label
-    infinite. Each vertex moves on to the next sink only
-    once it cannot reach the current one; this pins that loop order."""
+    """Within one push loop, on its one label set, the engine is called at
+    most once per vertex, however many sinks there are, never for a vertex
+    whose label is infinite, and each call ends with the limit met or the
+    vertex's label infinite."""
     searched: dict[int, tuple[SinkLabels, set[int]]] = {}
 
     def engine(state, s, t, limit=None, labels=None):
         # the strong reference keeps id(labels) from being reused
         _, sources = searched.setdefault(id(labels), (labels, set()))
-        assert s not in sources, f"vertex {s} searched again towards {t}"
+        assert s not in sources, f"vertex {s} searched again in one loop"
         sources.add(s)
         n = state.graph.vertex_count
         if labels.dist is not None:
@@ -812,12 +829,12 @@ def test_no_vertex_is_searched_again_towards_a_sink():
 
 
 def test_dead_sets_stay_true_through_the_push_loop():
-    """After every push, no vertex whose label is infinite reaches that
-    label's sink, the kept labels of the running push loop's other sinks
-    included. Only an engine call changes the state or sets a label (a
-    push skipped for a dead label changes nothing), so each loop's labels
-    are checked at the start of every engine call and once more where the
-    loop ends: at `phase2_done`, or when the solve returns."""
+    """After every push, no vertex whose label is infinite reaches any
+    sink of that label set. Only an engine call changes the state or sets
+    a label (a push skipped for a dead label changes nothing), so each
+    loop's labels are checked at the start of every engine call and once
+    more where the loop ends: at `phase2_done`, or when the solve
+    returns."""
     loops: dict[int, tuple[FlowState, dict[int, SinkLabels]]] = {}
     checked = 0
 
@@ -828,8 +845,8 @@ def test_dead_sets_stay_true_through_the_push_loop():
             if labels.dist is None:
                 continue
             dead = {v for v in range(n) if labels.dist[v] == n}
-            assert not dead & reaching(state, labels.t), \
-                f"a vertex known dead reaches {labels.t}"
+            assert not dead & _live(state, labels.sinks), \
+                f"a vertex known dead reaches one of {labels.sinks}"
         checked += 1
 
     def engine(state, s, t, limit=None, labels=None):
